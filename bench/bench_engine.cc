@@ -1,6 +1,6 @@
 // Serving-engine benchmarks: the compute-once/serve-many claim in numbers.
 //
-//   plan   cold OPT_HDMM run vs warm Plan() through the strategy cache's
+//   plan   cold OPT_HDMM run vs warm PlanOr() through the strategy cache's
 //          disk tier (simulated restart) and memory tier, on the
 //          census-style example workload
 //   batch  10k box queries answered one dense row at a time (today's
@@ -35,11 +35,11 @@ using namespace hdmm;
 UnionWorkload CensusWorkload(bool full) {
   const std::string spec = full ? "domain sex=2 age=115 race=128\n"
                                 : "domain sex=2 age=115 race=64\n";
-  return ParseWorkloadOrDie(spec +
-                            "product sex=identity age=prefix\n"
-                            "product age=prefix race=identity\n"
-                            "product sex=identity race=identity\n"
-                            "product age=width(10)\n");
+  return ParseWorkload(spec +
+                       "product sex=identity age=prefix\n"
+                       "product age=prefix race=identity\n"
+                       "product sex=identity race=identity\n"
+                       "product age=width(10)\n").value();
 }
 
 struct PlanTimings {
@@ -58,7 +58,7 @@ PlanTimings BenchPlan(const UnionWorkload& w, const std::string& cache_dir) {
   PlanTimings t;
   {
     Engine cold_engine(options);
-    PlanResult cold = cold_engine.Plan(w);
+    PlanResult cold = cold_engine.PlanOr(w).value();
     if (PlanSource::kOptimized != cold.source) {
       std::fprintf(stderr, "expected a cold plan, got %s\n",
                    PlanSourceName(cold.source));
@@ -73,7 +73,7 @@ PlanTimings BenchPlan(const UnionWorkload& w, const std::string& cache_dir) {
     Engine warm_engine(options);
     for (int rep = 0; rep < 5; ++rep) {
       warm_engine.cache().ClearMemory();
-      PlanResult warm = warm_engine.Plan(w);
+      PlanResult warm = warm_engine.PlanOr(w).value();
       if (PlanSource::kDiskCache != warm.source) {
         std::fprintf(stderr, "expected a disk hit, got %s\n",
                      PlanSourceName(warm.source));
@@ -84,7 +84,7 @@ PlanTimings BenchPlan(const UnionWorkload& w, const std::string& cache_dir) {
     std::printf("  warm plan (disk cache):    %9.3f ms  (%.0fx)\n",
                 1e3 * t.warm_disk_s, t.cold_s / t.warm_disk_s);
     for (int rep = 0; rep < 5; ++rep) {
-      PlanResult warm = warm_engine.Plan(w);
+      PlanResult warm = warm_engine.PlanOr(w).value();
       if (PlanSource::kMemoryCache != warm.source) {
         std::fprintf(stderr, "expected a memory hit, got %s\n",
                      PlanSourceName(warm.source));
@@ -140,9 +140,9 @@ FailpointTimings BenchFailpoints(const UnionWorkload& w,
     options.optimizer.seed = 7;
     options.cache.disk_dir = cache_dir;
     Engine engine(options);
-    engine.Plan(w);  // Promote disk -> memory once.
+    engine.PlanOr(w).value();  // Promote disk -> memory once.
     for (int rep = 0; rep < 5; ++rep) {
-      PlanResult warm = engine.Plan(w);
+      PlanResult warm = engine.PlanOr(w).value();
       t.warm_mem_armed_s = rep == 0 ? warm.seconds
                                     : std::min(t.warm_mem_armed_s,
                                                warm.seconds);
@@ -333,7 +333,8 @@ BatchTimings BenchBatch(const Domain& domain, int64_t num_queries) {
   Rng rng(11);
   Vector x_hat(static_cast<size_t>(domain.TotalSize()));
   for (double& v : x_hat) v = rng.Uniform(0.0, 50.0);
-  MeasurementSession session(domain, x_hat, 1.0, nullptr);
+  MeasurementSession session(domain, x_hat, PrivacyCharge::Laplace(1.0),
+                             nullptr);
 
   std::vector<BoxQuery> queries;
   queries.reserve(static_cast<size_t>(num_queries));

@@ -56,12 +56,12 @@ bool SameBits(const Matrix& a, const Matrix& b) {
 }
 
 UnionWorkload CensusWorkload() {
-  return ParseWorkloadOrDie(
+  return ParseWorkload(
       "domain sex=2 age=115 race=64\n"
       "product sex=identity age=prefix\n"
       "product age=prefix race=identity\n"
       "product sex=identity race=identity\n"
-      "product age=width(10)\n");
+      "product age=width(10)\n").value();
 }
 
 uint64_t SelectionHash(const UnionWorkload& w, const HdmmResult& res) {

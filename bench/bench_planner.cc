@@ -78,11 +78,11 @@ using namespace hdmm;
 UnionWorkload CensusWorkload(bool full) {
   const std::string spec = full ? "domain sex=2 age=115 race=128\n"
                                 : "domain sex=2 age=115 race=64\n";
-  return ParseWorkloadOrDie(spec +
-                            "product sex=identity age=prefix\n"
-                            "product age=prefix race=identity\n"
-                            "product sex=identity race=identity\n"
-                            "product age=width(10)\n");
+  return ParseWorkload(spec +
+                       "product sex=identity age=prefix\n"
+                       "product age=prefix race=identity\n"
+                       "product sex=identity race=identity\n"
+                       "product age=width(10)\n").value();
 }
 
 // ------------------------------------------------------------------------

@@ -27,7 +27,7 @@ int main() {
       "SELECT age, COUNT(*) FROM Person GROUP BY age;"
       "SELECT COUNT(*) FROM Person WHERE age BETWEEN 13 AND 19;";
 
-  UnionWorkload workload = ParseSqlWorkloadOrDie(script, domain);
+  UnionWorkload workload = ParseSqlWorkload(script, domain).value();
   std::printf("parsed %d SQL statements into %lld predicate counting "
               "queries\n",
               workload.NumProducts(),

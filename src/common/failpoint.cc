@@ -63,30 +63,29 @@ bool ParseUint(const std::string& text, uint64_t* out) {
   return true;
 }
 
-bool ParseMode(const std::string& mode, Point* out, std::string* error) {
+Status ParseMode(const std::string& mode, Point* out) {
   const size_t colon = mode.find(':');
   const std::string head =
       colon == std::string::npos ? mode : mode.substr(0, colon);
   const std::string arg =
       colon == std::string::npos ? "" : mode.substr(colon + 1);
   auto fail = [&](const char* why) {
-    if (error != nullptr) *error = "bad failpoint mode '" + mode + "': " + why;
-    return false;
+    return Status::InvalidArgument("bad failpoint mode '" + mode + "': " + why);
   };
   if (head == "off") {
     out->mode = Mode::kOff;
-    return arg.empty() ? true : fail("takes no argument");
+    return arg.empty() ? Status::Ok() : fail("takes no argument");
   }
   if (head == "always") {
     out->mode = Mode::kAlways;
-    return arg.empty() ? true : fail("takes no argument");
+    return arg.empty() ? Status::Ok() : fail("takes no argument");
   }
   if (head == "nth" || head == "times" || head == "after") {
     out->mode = head == "nth" ? Mode::kNth
                               : (head == "times" ? Mode::kTimes : Mode::kAfter);
     if (!ParseUint(arg, &out->n)) return fail("wants :N");
     if (out->mode != Mode::kAfter && out->n == 0) return fail("N must be >= 1");
-    return true;
+    return Status::Ok();
   }
   if (head == "prob") {
     out->mode = Mode::kProb;
@@ -96,7 +95,7 @@ bool ParseMode(const std::string& mode, Point* out, std::string* error) {
         out->p > 1.0) {
       return fail("wants :P in [0, 1]");
     }
-    return true;
+    return Status::Ok();
   }
   if (head == "crash") {
     out->mode = Mode::kCrash;
@@ -104,7 +103,7 @@ bool ParseMode(const std::string& mode, Point* out, std::string* error) {
     if (!arg.empty() && (!ParseUint(arg, &out->n) || out->n == 0)) {
       return fail("wants :N >= 1");
     }
-    return true;
+    return Status::Ok();
   }
   return fail("unknown mode (want off|always|nth:N|times:N|after:N|prob:P|"
               "crash[:N])");
@@ -116,9 +115,9 @@ bool ParseMode(const std::string& mode, Point* out, std::string* error) {
 const bool g_env_activated = [] {
   const char* env = std::getenv("HDMM_FAILPOINTS");
   if (env != nullptr && *env != '\0') {
-    std::string error;
-    if (!Failpoints::ActivateSpec(env, &error)) {
-      HDMM_LOG(Error, "HDMM_FAILPOINTS: %s", error.c_str());
+    const Status activated = Failpoints::ActivateSpec(env);
+    if (!activated.ok()) {
+      HDMM_LOG(Error, "HDMM_FAILPOINTS: %s", activated.message().c_str());
       std::abort();  // A misspelled injection spec must not silently no-op.
     }
   }
@@ -156,14 +155,10 @@ bool Failpoints::Hit(const char* name) {
   return false;
 }
 
-bool Failpoints::Activate(const std::string& name, const std::string& mode,
-                          std::string* error) {
+Status Failpoints::Activate(const std::string& name, const std::string& mode) {
   Point point;
-  if (!ParseMode(mode, &point, error)) return false;
-  if (name.empty()) {
-    if (error != nullptr) *error = "empty failpoint name";
-    return false;
-  }
+  HDMM_RETURN_IF_ERROR(ParseMode(mode, &point));
+  if (name.empty()) return Status::InvalidArgument("empty failpoint name");
   Registry& registry = GlobalRegistry();
   std::lock_guard<std::mutex> lock(registry.mu);
   auto [it, inserted] = registry.points.emplace(name, point);
@@ -172,10 +167,10 @@ bool Failpoints::Activate(const std::string& name, const std::string& mode,
   } else {
     active_count_.fetch_add(1, std::memory_order_relaxed);
   }
-  return true;
+  return Status::Ok();
 }
 
-bool Failpoints::ActivateSpec(const std::string& spec, std::string* error) {
+Status Failpoints::ActivateSpec(const std::string& spec) {
   size_t start = 0;
   while (start <= spec.size()) {
     size_t end = spec.find(',', start);
@@ -185,16 +180,12 @@ bool Failpoints::ActivateSpec(const std::string& spec, std::string* error) {
     if (item.empty()) continue;
     const size_t eq = item.find('=');
     if (eq == std::string::npos || eq == 0) {
-      if (error != nullptr) {
-        *error = "bad failpoint spec item '" + item + "' (want name=mode)";
-      }
-      return false;
+      return Status::InvalidArgument("bad failpoint spec item '" + item +
+                                     "' (want name=mode)");
     }
-    if (!Activate(item.substr(0, eq), item.substr(eq + 1), error)) {
-      return false;
-    }
+    HDMM_RETURN_IF_ERROR(Activate(item.substr(0, eq), item.substr(eq + 1)));
   }
-  return true;
+  return Status::Ok();
 }
 
 void Failpoints::Deactivate(const std::string& name) {

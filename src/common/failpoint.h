@@ -48,6 +48,8 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
+
 namespace hdmm {
 
 class Failpoints {
@@ -64,15 +66,13 @@ class Failpoints {
   /// false.
   static bool Hit(const char* name);
 
-  /// Activates `name` with a `mode` from the spec grammar above. Returns
-  /// false (with *error) on a malformed mode.
-  static bool Activate(const std::string& name, const std::string& mode,
-                       std::string* error = nullptr);
+  /// Activates `name` with a `mode` from the spec grammar above.
+  /// kInvalidArgument on a malformed mode or an empty name.
+  static Status Activate(const std::string& name, const std::string& mode);
 
   /// Activates a comma-separated "name=mode,name=mode" spec (the
   /// HDMM_FAILPOINTS format).
-  static bool ActivateSpec(const std::string& spec,
-                           std::string* error = nullptr);
+  static Status ActivateSpec(const std::string& spec);
 
   static void Deactivate(const std::string& name);
   static void DeactivateAll();

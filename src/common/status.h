@@ -134,17 +134,18 @@ class StatusOr {
   bool ok() const { return status_.ok(); }
   const Status& status() const { return status_; }
 
-  /// The held value; dies when !ok() — check first.
+  /// The held value; dies with the held status message when !ok(), so
+  /// `Parse(constant).value()` is the assert-it-parses idiom.
   const T& value() const& {
-    HDMM_CHECK_MSG(has_value_, "StatusOr::value() on an error status");
+    CheckHasValue();
     return value_;
   }
   T& value() & {
-    HDMM_CHECK_MSG(has_value_, "StatusOr::value() on an error status");
+    CheckHasValue();
     return value_;
   }
   T&& value() && {
-    HDMM_CHECK_MSG(has_value_, "StatusOr::value() on an error status");
+    CheckHasValue();
     return std::move(value_);
   }
 
@@ -154,6 +155,12 @@ class StatusOr {
   T* operator->() { return &value(); }
 
  private:
+  void CheckHasValue() const {
+    HDMM_CHECK_MSG(has_value_, ("StatusOr::value() on an error status: " +
+                                status_.ToString())
+                                   .c_str());
+  }
+
   Status status_;  // OK iff has_value_.
   bool has_value_ = false;
   T value_{};

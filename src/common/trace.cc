@@ -79,11 +79,10 @@ std::string JsonEscape(const std::string& s) {
 // ring set is stable; in-flight Emit calls on other threads may tear a
 // single event slot, which at worst misreports one span's bounds — the
 // document itself stays well-formed because `recorded` is read once.
-bool WriteTraceFileLocked(TraceState& state, std::string* error) {
+Status WriteTraceFileLocked(TraceState& state) {
   std::FILE* f = std::fopen(state.path.c_str(), "w");
   if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open trace file " + state.path;
-    return false;
+    return Status::IoError("cannot open trace file " + state.path);
   }
   const long pid = static_cast<long>(::getpid());
   std::fprintf(f, "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n");
@@ -127,8 +126,8 @@ bool WriteTraceFileLocked(TraceState& state, std::string* error) {
   std::fprintf(f, "\n]}\n");
   const bool ok = std::fflush(f) == 0;
   std::fclose(f);
-  if (!ok && error != nullptr) *error = "short write to " + state.path;
-  return ok;
+  if (!ok) return Status::IoError("short write to " + state.path);
+  return Status::Ok();
 }
 
 // HDMM_TRACE=<file>: arm at static init, flush at exit. This is the
@@ -136,11 +135,11 @@ bool WriteTraceFileLocked(TraceState& state, std::string* error) {
 const bool g_env_activated = [] {
   const char* env = std::getenv("HDMM_TRACE");
   if (env != nullptr && *env != '\0') {
-    std::string error;
-    if (Trace::Start(env, &error)) {
+    const Status started = Trace::Start(env);
+    if (started.ok()) {
       std::atexit([] { Trace::Stop(); });
     } else {
-      HDMM_LOG(Error, "HDMM_TRACE: %s", error.c_str());
+      HDMM_LOG(Error, "HDMM_TRACE: %s", started.message().c_str());
     }
   }
   return true;
@@ -158,12 +157,12 @@ int64_t Trace::NowNs() {
       .count();
 }
 
-bool Trace::Start(const std::string& path, std::string* error) {
+Status Trace::Start(const std::string& path) {
   TraceState& state = GlobalState();
   std::lock_guard<std::mutex> lock(state.mu);
   if (enabled_.load(std::memory_order_relaxed)) {
-    if (error != nullptr) *error = "trace already collecting to " + state.path;
-    return false;
+    return Status::FailedPrecondition("trace already collecting to " +
+                                      state.path);
   }
   state.path = path;
   // Reset per-thread rings from prior sessions so a restarted trace does not
@@ -171,25 +170,24 @@ bool Trace::Start(const std::string& path, std::string* error) {
   for (ThreadRing* ring : state.rings) ring->recorded = 0;
   NowNs();  // Pin the timebase before the first span.
   enabled_.store(true, std::memory_order_release);
-  return true;
+  return Status::Ok();
 }
 
-bool Trace::Stop(std::string* error) {
+Status Trace::Stop() {
   TraceState& state = GlobalState();
   std::lock_guard<std::mutex> lock(state.mu);
-  if (!enabled_.load(std::memory_order_relaxed)) return true;
+  if (!enabled_.load(std::memory_order_relaxed)) return Status::Ok();
   enabled_.store(false, std::memory_order_release);
-  return WriteTraceFileLocked(state, error);
+  return WriteTraceFileLocked(state);
 }
 
-bool Trace::Flush(std::string* error) {
+Status Trace::Flush() {
   TraceState& state = GlobalState();
   std::lock_guard<std::mutex> lock(state.mu);
   if (state.path.empty()) {
-    if (error != nullptr) *error = "trace was never started";
-    return false;
+    return Status::FailedPrecondition("trace was never started");
   }
-  return WriteTraceFileLocked(state, error);
+  return WriteTraceFileLocked(state);
 }
 
 void Trace::SetThreadName(const std::string& name) {

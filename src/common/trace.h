@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//   void Engine::Plan(...) {
+//   StatusOr<PlanResult> Engine::PlanOr(...) {
 //     HDMM_TRACE_SPAN("Engine::Plan");
 //     ...
 //   }  // Span closes when the scope exits.
@@ -33,6 +33,8 @@
 #include <cstdint>
 #include <string>
 
+#include "common/status.h"
+
 namespace hdmm {
 
 class Trace {
@@ -43,17 +45,18 @@ class Trace {
   }
 
   /// Starts collecting spans; Stop() (or process exit) writes them to
-  /// `path` as Chrome trace-event JSON. Returns false (with *error) when
-  /// already collecting.
-  static bool Start(const std::string& path, std::string* error = nullptr);
+  /// `path` as Chrome trace-event JSON. kFailedPrecondition when already
+  /// collecting.
+  static Status Start(const std::string& path);
 
-  /// Stops collecting and writes the trace file. Returns false (with
-  /// *error) when the file cannot be written. No-op when not collecting.
-  static bool Stop(std::string* error = nullptr);
+  /// Stops collecting and writes the trace file. kIoError when the file
+  /// cannot be written. No-op when not collecting.
+  static Status Stop();
 
   /// Writes the collected spans without stopping. Each flush rewrites the
-  /// whole file, so the latest call wins.
-  static bool Flush(std::string* error = nullptr);
+  /// whole file, so the latest call wins. kFailedPrecondition when never
+  /// started.
+  static Status Flush();
 
   /// Names the calling thread in the exported trace ("main",
   /// "hdmm-worker-3"). Threads that never call this show up by numeric id.

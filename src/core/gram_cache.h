@@ -74,7 +74,7 @@ class GramCache {
 
   /// Process-wide cache consulted by ProductWorkload::FactorGram, OPT_x's
   /// per-attribute Gram pools, and (for its hit-rate accounting)
-  /// Engine::Plan.
+  /// Engine::PlanOr.
   static GramCache& Global();
 
  private:

@@ -60,10 +60,9 @@ double ExplicitStrategy::L2Sensitivity() const {
 Vector ExplicitStrategy::Apply(const Vector& x) const { return MatVec(a_, x); }
 
 const Matrix& ExplicitStrategy::Pinv() const {
-  if (!have_pinv_) {
-    pinv_ = PseudoInverse(a_);
-    have_pinv_ = true;
-  }
+  // Cached plans are shared across threads, so concurrent Reconstruct calls
+  // race to build this; call_once lets exactly one caller build it.
+  std::call_once(pinv_once_, [this] { pinv_ = PseudoInverse(a_); });
   return pinv_;
 }
 
@@ -115,10 +114,10 @@ Vector KronStrategy::Apply(const Vector& x) const {
 }
 
 const std::vector<Matrix>& KronStrategy::FactorPinvs() const {
-  if (pinvs_.empty()) {
+  std::call_once(pinvs_once_, [this] {
     pinvs_.reserve(factors_.size());
     for (const Matrix& f : factors_) pinvs_.push_back(PseudoInverse(f));
-  }
+  });
   return pinvs_;
 }
 

@@ -88,8 +88,8 @@ class ExplicitStrategy : public Strategy {
 
   Matrix a_;
   std::string name_;
-  mutable Matrix pinv_;        // Cached lazily.
-  mutable bool have_pinv_ = false;
+  mutable Matrix pinv_;  // Cached lazily.
+  mutable std::once_flag pinv_once_;
 };
 
 /// A single Kronecker product A_1 x ... x A_d (the OPT_x output form).
@@ -120,7 +120,7 @@ class KronStrategy : public Strategy {
 
   std::vector<Matrix> factors_;
   std::string name_;
-  mutable std::vector<Matrix> pinvs_;  // Cached lazily.
+  mutable std::vector<Matrix> pinvs_;  // Cached lazily, under pinvs_once_.
   /// Per-factor trace engines, built once (first SquaredError call): the
   /// factor Grams and their inverses stop being re-materialized per
   /// evaluation, so repeated error evaluations allocate nothing.
@@ -130,6 +130,8 @@ class KronStrategy : public Strategy {
   /// every evaluation).
   mutable double sensitivity_ = 0.0;
   mutable std::once_flag sensitivity_once_;
+  // Last, where it fills tail padding: the object keeps its size.
+  mutable std::once_flag pinvs_once_;
 };
 
 /// A union (vertical stack) of Kronecker products A_1 + ... + A_l, the OPT_+

@@ -1,5 +1,7 @@
 #include "core/strategy_io.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +44,6 @@ struct LineReader {
   std::istringstream in;
   std::string line;
   int line_no = 0;
-  bool eof = false;
 
   explicit LineReader(const std::string& text) : in(text) {}
 
@@ -53,51 +54,41 @@ struct LineReader {
       if (!line.empty() && line.find_first_not_of(" \t\r") != std::string::npos)
         return true;
     }
-    eof = true;
     return false;
   }
 
-  std::string Error(const std::string& message) const {
-    return "line " + std::to_string(line_no) + ": " + message;
+  // A corruption status anchored at the current line.
+  Status Error(const std::string& message) const {
+    return Status::Corruption("line " + std::to_string(line_no) + ": " +
+                              message);
   }
 };
 
-bool ParseMatrixLine(const std::string& line, const std::string& tag,
-                     Matrix* out, std::string* why) {
-  std::istringstream in(line);
+// Parses the reader's current line as "<tag> RxC v,v,...".
+Status ParseMatrixLine(const LineReader& reader, const std::string& tag,
+                       Matrix* out) {
+  std::istringstream in(reader.line);
   std::string word, shape, payload, extra;
   in >> word >> shape >> payload;
-  if (word != tag) {
-    *why = "expected '" + tag + "' line";
-    return false;
-  }
+  if (word != tag) return reader.Error("expected '" + tag + "' line");
   if (in >> extra) {
-    *why = "trailing garbage '" + extra + "' after matrix payload";
-    return false;
+    return reader.Error("trailing garbage '" + extra +
+                        "' after matrix payload");
   }
+  const Status bad_shape = reader.Error("bad shape '" + shape + "'");
   const size_t x = shape.find('x');
-  if (x == std::string::npos) {
-    *why = "bad shape '" + shape + "'";
-    return false;
-  }
+  if (x == std::string::npos) return bad_shape;
   // Strict shape parse: both numbers fully consumed, positive, and small
   // enough that rows * cols cannot overflow — a corrupt shape must become a
   // parse error here, never a giant allocation or UB downstream.
   char* end = nullptr;
   const int64_t rows = std::strtoll(shape.c_str(), &end, 10);
-  if (end != shape.c_str() + x) {
-    *why = "bad shape '" + shape + "'";
-    return false;
-  }
+  if (end != shape.c_str() + x) return bad_shape;
   const int64_t cols = std::strtoll(shape.c_str() + x + 1, &end, 10);
-  if (end != shape.c_str() + shape.size()) {
-    *why = "bad shape '" + shape + "'";
-    return false;
-  }
+  if (end != shape.c_str() + shape.size()) return bad_shape;
   constexpr int64_t kMaxDim = int64_t{1} << 31;
   if (rows <= 0 || cols <= 0 || rows > kMaxDim || cols > kMaxDim) {
-    *why = "bad shape '" + shape + "'";
-    return false;
+    return bad_shape;
   }
   std::vector<double> data;
   // Reserve from the payload's actual size, not the claimed shape: memory
@@ -108,82 +99,62 @@ bool ParseMatrixLine(const std::string& line, const std::string& tag,
   while (std::getline(values, token, ',')) {
     const double v = std::strtod(token.c_str(), &end);
     if (token.empty() || end != token.c_str() + token.size()) {
-      *why = "bad entry '" + token + "'";
-      return false;
+      return reader.Error("bad entry '" + token + "'");
     }
     data.push_back(v);
   }
   if (rows > static_cast<int64_t>(data.size()) ||
       static_cast<int64_t>(data.size()) != rows * cols) {
-    *why = "entry count does not match shape";
-    return false;
+    return reader.Error("entry count does not match shape");
   }
   *out = Matrix(rows, cols, std::move(data));
-  return true;
+  return Status::Ok();
 }
 
-// Reads "key value value ..." integer lines.
-bool ParseIntList(const std::string& line, const std::string& tag,
-                  std::vector<int64_t>* out, std::string* why) {
-  std::istringstream in(line);
+// Reads the reader's current line as "<tag> value value ..." integers.
+Status ParseIntList(const LineReader& reader, const std::string& tag,
+                    std::vector<int64_t>* out) {
+  std::istringstream in(reader.line);
   std::string word;
   in >> word;
-  if (word != tag) {
-    *why = "expected '" + tag + "' line";
-    return false;
-  }
+  if (word != tag) return reader.Error("expected '" + tag + "' line");
   int64_t v;
   while (in >> v) out->push_back(v);
   if (in.fail() && !in.eof()) {
-    *why = "bad integer in '" + tag + "' line";
-    return false;
+    return reader.Error("bad integer in '" + tag + "' line");
   }
-  return true;
+  return Status::Ok();
 }
 
-std::unique_ptr<Strategy> ParseExplicit(LineReader* reader,
-                                        const std::string& name,
-                                        std::string* error) {
-  if (!reader->Next()) {
-    *error = reader->Error("missing 'matrix' line");
-    return nullptr;
-  }
+StatusOr<std::unique_ptr<Strategy>> ParseExplicit(LineReader* reader,
+                                                  const std::string& name) {
+  if (!reader->Next()) return reader->Error("missing 'matrix' line");
   Matrix m;
-  std::string why;
-  if (!ParseMatrixLine(reader->line, "matrix", &m, &why)) {
-    *error = reader->Error(why);
-    return nullptr;
-  }
+  HDMM_RETURN_IF_ERROR(ParseMatrixLine(*reader, "matrix", &m));
   if (reader->Next()) {
-    *error = reader->Error("trailing garbage after 'matrix' line");
-    return nullptr;
+    return reader->Error("trailing garbage after 'matrix' line");
   }
-  return std::make_unique<ExplicitStrategy>(std::move(m), name);
+  return std::unique_ptr<Strategy>(
+      std::make_unique<ExplicitStrategy>(std::move(m), name));
 }
 
-std::unique_ptr<Strategy> ParseKron(LineReader* reader,
-                                    const std::string& name,
-                                    std::string* error) {
+StatusOr<std::unique_ptr<Strategy>> ParseKron(LineReader* reader,
+                                              const std::string& name) {
   std::vector<Matrix> factors;
   while (reader->Next()) {
     Matrix m;
-    std::string why;
-    if (!ParseMatrixLine(reader->line, "factor", &m, &why)) {
-      *error = reader->Error(why);
-      return nullptr;
-    }
+    HDMM_RETURN_IF_ERROR(ParseMatrixLine(*reader, "factor", &m));
     factors.push_back(std::move(m));
   }
   if (factors.empty()) {
-    *error = "kron strategy has no factors";
-    return nullptr;
+    return Status::Corruption("kron strategy has no factors");
   }
-  return std::make_unique<KronStrategy>(std::move(factors), name);
+  return std::unique_ptr<Strategy>(
+      std::make_unique<KronStrategy>(std::move(factors), name));
 }
 
-std::unique_ptr<Strategy> ParseUnionKron(LineReader* reader,
-                                         const std::string& name,
-                                         std::string* error) {
+StatusOr<std::unique_ptr<Strategy>> ParseUnionKron(LineReader* reader,
+                                                   const std::string& name) {
   std::vector<std::vector<Matrix>> parts;
   std::vector<std::vector<int>> covers;
   while (reader->Next()) {
@@ -192,46 +163,30 @@ std::unique_ptr<Strategy> ParseUnionKron(LineReader* reader,
       covers.emplace_back();
       continue;
     }
-    if (parts.empty()) {
-      *error = reader->Error("expected 'part' before factors");
-      return nullptr;
-    }
+    if (parts.empty()) return reader->Error("expected 'part' before factors");
     if (reader->line.rfind("covers", 0) == 0) {
       std::vector<int64_t> ids;
-      std::string why;
-      if (!ParseIntList(reader->line, "covers", &ids, &why)) {
-        *error = reader->Error(why);
-        return nullptr;
-      }
+      HDMM_RETURN_IF_ERROR(ParseIntList(*reader, "covers", &ids));
       for (int64_t id : ids) {
         // Product ids index into the serving workload: a negative or absurd
         // id is corruption, and letting it through would trip a contract
         // check (abort) at first expected-error evaluation.
         if (id < 0 || id > (int64_t{1} << 31)) {
-          *error = reader->Error("bad product id in 'covers' line");
-          return nullptr;
+          return reader->Error("bad product id in 'covers' line");
         }
         covers.back().push_back(static_cast<int>(id));
       }
       continue;
     }
     Matrix m;
-    std::string why;
-    if (!ParseMatrixLine(reader->line, "factor", &m, &why)) {
-      *error = reader->Error(why);
-      return nullptr;
-    }
+    HDMM_RETURN_IF_ERROR(ParseMatrixLine(*reader, "factor", &m));
     parts.back().push_back(std::move(m));
   }
   if (parts.empty()) {
-    *error = "union-kron strategy has no parts";
-    return nullptr;
+    return Status::Corruption("union-kron strategy has no parts");
   }
   for (const auto& p : parts) {
-    if (p.empty()) {
-      *error = "union-kron part has no factors";
-      return nullptr;
-    }
+    if (p.empty()) return Status::Corruption("union-kron part has no factors");
   }
   // Every part must cover the same domain, factor by factor. Truncated or
   // spliced input that drops a factor from a later part would otherwise
@@ -239,92 +194,66 @@ std::unique_ptr<Strategy> ParseUnionKron(LineReader* reader,
   // contract check (abort) inside the stacked measurement operator.
   for (size_t p = 1; p < parts.size(); ++p) {
     if (parts[p].size() != parts[0].size()) {
-      *error = "union-kron parts disagree on factor count";
-      return nullptr;
+      return Status::Corruption("union-kron parts disagree on factor count");
     }
     for (size_t i = 0; i < parts[p].size(); ++i) {
       if (parts[p][i].cols() != parts[0][i].cols()) {
-        *error = "union-kron parts disagree on domain sizes";
-        return nullptr;
+        return Status::Corruption("union-kron parts disagree on domain sizes");
       }
     }
   }
-  return std::make_unique<UnionKronStrategy>(std::move(parts),
-                                             std::move(covers), name);
+  return std::unique_ptr<Strategy>(std::make_unique<UnionKronStrategy>(
+      std::move(parts), std::move(covers), name));
 }
 
-std::unique_ptr<Strategy> ParseMarginals(LineReader* reader,
-                                         const std::string& name,
-                                         std::string* error) {
-  if (!reader->Next()) {
-    *error = reader->Error("missing 'domain' line");
-    return nullptr;
-  }
+StatusOr<std::unique_ptr<Strategy>> ParseMarginals(LineReader* reader,
+                                                   const std::string& name) {
+  if (!reader->Next()) return reader->Error("missing 'domain' line");
   std::vector<int64_t> sizes;
-  std::string why;
-  if (!ParseIntList(reader->line, "domain", &sizes, &why)) {
-    *error = reader->Error(why);
-    return nullptr;
-  }
-  if (sizes.empty()) {
-    *error = reader->Error("empty domain");
-    return nullptr;
-  }
+  HDMM_RETURN_IF_ERROR(ParseIntList(*reader, "domain", &sizes));
+  if (sizes.empty()) return reader->Error("empty domain");
   // Corruption guards: the MarginalsStrategy constructor's contracts
   // (positive sizes, 2^d masks, a nonempty active set) must be established
   // here — a bad cache file has to surface as a parse error, not an abort.
   if (sizes.size() > 30) {
-    *error = reader->Error("marginals domain has more than 30 attributes");
-    return nullptr;
+    return reader->Error("marginals domain has more than 30 attributes");
   }
   for (int64_t size : sizes) {
     if (size < 1) {
-      *error = reader->Error("non-positive attribute size in 'domain' line");
-      return nullptr;
+      return reader->Error("non-positive attribute size in 'domain' line");
     }
   }
-  if (!reader->Next()) {
-    *error = reader->Error("missing 'theta' line");
-    return nullptr;
-  }
+  if (!reader->Next()) return reader->Error("missing 'theta' line");
   std::istringstream in(reader->line);
   std::string word;
   in >> word;
-  if (word != "theta") {
-    *error = reader->Error("expected 'theta' line");
-    return nullptr;
-  }
+  if (word != "theta") return reader->Error("expected 'theta' line");
   Vector theta;
   double v;
   while (in >> v) theta.push_back(v);
   if (in.fail() && !in.eof()) {
-    *error = reader->Error("bad weight in 'theta' line");
-    return nullptr;
+    return reader->Error("bad weight in 'theta' line");
   }
   const size_t expected = size_t{1} << sizes.size();
   if (theta.size() != expected) {
-    *error = reader->Error("theta needs exactly 2^d = " +
-                           std::to_string(expected) + " weights");
-    return nullptr;
+    return reader->Error("theta needs exactly 2^d = " +
+                         std::to_string(expected) + " weights");
   }
   bool any_active = false;
   for (double w : theta) {
     if (!std::isfinite(w) || w < 0.0) {
-      *error = reader->Error("theta weights must be finite and non-negative");
-      return nullptr;
+      return reader->Error("theta weights must be finite and non-negative");
     }
     if (w > 1e-12) any_active = true;
   }
   if (!any_active) {
-    *error = reader->Error("marginals strategy with all-zero weights");
-    return nullptr;
+    return reader->Error("marginals strategy with all-zero weights");
   }
   if (reader->Next()) {
-    *error = reader->Error("trailing garbage after 'theta' line");
-    return nullptr;
+    return reader->Error("trailing garbage after 'theta' line");
   }
-  return std::make_unique<MarginalsStrategy>(Domain(std::move(sizes)),
-                                             std::move(theta), name);
+  return std::unique_ptr<Strategy>(std::make_unique<MarginalsStrategy>(
+      Domain(std::move(sizes)), std::move(theta), name));
 }
 
 }  // namespace
@@ -375,64 +304,49 @@ std::string SerializeStrategy(const Strategy& strategy) {
   return "";
 }
 
-std::unique_ptr<Strategy> ParseStrategy(const std::string& text,
-                                        std::string* error) {
-  HDMM_CHECK(error != nullptr);
+StatusOr<std::unique_ptr<Strategy>> ParseStrategy(const std::string& text) {
   LineReader reader(text);
   if (!reader.Next() || reader.line != kHeader) {
-    *error = "missing 'hdmm-strategy v1' header";
-    return nullptr;
+    return Status::Corruption("missing 'hdmm-strategy v1' header");
   }
   if (!reader.Next() || reader.line.rfind("kind ", 0) != 0) {
-    *error = reader.Error("missing 'kind' line");
-    return nullptr;
+    return reader.Error("missing 'kind' line");
   }
   const std::string kind = reader.line.substr(5);
   if (!reader.Next() || reader.line.rfind("name ", 0) != 0) {
-    *error = reader.Error("missing 'name' line");
-    return nullptr;
+    return reader.Error("missing 'name' line");
   }
   const std::string name = reader.line.substr(5);
 
-  if (kind == "explicit") return ParseExplicit(&reader, name, error);
-  if (kind == "kron") return ParseKron(&reader, name, error);
-  if (kind == "union-kron") return ParseUnionKron(&reader, name, error);
-  if (kind == "marginals") return ParseMarginals(&reader, name, error);
-  *error = reader.Error("unknown strategy kind '" + kind + "'");
-  return nullptr;
+  if (kind == "explicit") return ParseExplicit(&reader, name);
+  if (kind == "kron") return ParseKron(&reader, name);
+  if (kind == "union-kron") return ParseUnionKron(&reader, name);
+  if (kind == "marginals") return ParseMarginals(&reader, name);
+  return reader.Error("unknown strategy kind '" + kind + "'");
 }
 
-bool SaveStrategyFile(const std::string& path, const Strategy& strategy,
-                      std::string* error) {
-  std::ofstream out(path);
-  if (!out) {
-    *error = "cannot open '" + path + "' for writing";
-    return false;
+Status SaveStrategyFile(const std::string& path, const Strategy& strategy) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::IoError("cannot open '" + path + "' for writing");
   }
-  out << SerializeStrategy(strategy);
-  out.flush();
-  if (!out) {
-    *error = "write to '" + path + "' failed";
-    return false;
+  const std::string text = SerializeStrategy(strategy);
+  const bool written =
+      std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+      std::fflush(f) == 0;
+  // Durable before returning: callers rename this file into place.
+  const bool synced = written &&
+                      !HDMM_FAILPOINT("strategy_io.save.fsync_error") &&
+                      ::fsync(fileno(f)) == 0;
+  const bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    return Status::IoError("write to '" + path + "' failed");
   }
-  return true;
+  if (!synced) return Status::IoError("fsync of '" + path + "' failed");
+  return Status::Ok();
 }
 
-std::unique_ptr<Strategy> LoadStrategyFile(const std::string& path,
-                                           std::string* error) {
-  std::unique_ptr<Strategy> strategy;
-  const Status status = LoadStrategyFileOr(path, &strategy);
-  if (!status.ok()) {
-    *error = status.message();
-    return nullptr;
-  }
-  return strategy;
-}
-
-Status LoadStrategyFileOr(const std::string& path,
-                          std::unique_ptr<Strategy>* out) {
-  HDMM_CHECK(out != nullptr);
-  out->reset();
+StatusOr<std::unique_ptr<Strategy>> LoadStrategyFile(const std::string& path) {
   if (HDMM_FAILPOINT("strategy_io.load.io_error")) {
     return Status::IoError("injected: strategy_io.load.io_error at '" + path +
                            "'");
@@ -450,12 +364,9 @@ Status LoadStrategyFileOr(const std::string& path,
   if (in.bad()) {
     return Status::IoError("read from '" + path + "' failed");
   }
-  std::string error;
-  *out = ParseStrategy(buffer.str(), &error);
-  if (*out == nullptr) {
-    return Status::Corruption("'" + path + "': " + error);
-  }
-  return Status::Ok();
+  StatusOr<std::unique_ptr<Strategy>> parsed = ParseStrategy(buffer.str());
+  if (!parsed.ok()) return parsed.status().Annotated("'" + path + "'");
+  return parsed;
 }
 
 }  // namespace hdmm

@@ -30,31 +30,27 @@ namespace hdmm {
 /// outside the four library representations.
 std::string SerializeStrategy(const Strategy& strategy);
 
-/// Parses the persistence format. Returns nullptr and fills *error with a
-/// line-numbered message on malformed input. Malformed input of any shape —
-/// truncated header, wrong magic, short payloads, trailing garbage — is an
-/// environmental condition, never an abort.
-std::unique_ptr<Strategy> ParseStrategy(const std::string& text,
-                                        std::string* error);
+/// Parses the persistence format. Malformed input of any shape — truncated
+/// header, wrong magic, short payloads, trailing garbage — is an
+/// environmental condition, never an abort: it returns kCorruption with a
+/// line-numbered message.
+StatusOr<std::unique_ptr<Strategy>> ParseStrategy(const std::string& text);
 
-/// SerializeStrategy to a file. Returns false (with *error) on I/O failure.
-bool SaveStrategyFile(const std::string& path, const Strategy& strategy,
-                      std::string* error);
+/// SerializeStrategy to a file, fsync'd before returning so a following
+/// rename installs durable bytes. kIoError on any open/write/sync failure.
+///
+/// Failpoint: `strategy_io.save.fsync_error` injects a failed fsync.
+Status SaveStrategyFile(const std::string& path, const Strategy& strategy);
 
-/// ParseStrategy from a file.
-std::unique_ptr<Strategy> LoadStrategyFile(const std::string& path,
-                                           std::string* error);
-
-/// Status-returning load, distinguishing the conditions callers react to
-/// differently:
+/// ParseStrategy from a file, distinguishing the conditions callers react
+/// to differently:
 ///
 ///   kNotFound     the file does not exist (a plain cache miss)
 ///   kIoError      it exists but cannot be read (permissions, bad media)
 ///   kCorruption   it reads but does not parse (quarantine candidate)
 ///
 /// Failpoint: `strategy_io.load.io_error` injects kIoError.
-Status LoadStrategyFileOr(const std::string& path,
-                          std::unique_ptr<Strategy>* out);
+StatusOr<std::unique_ptr<Strategy>> LoadStrategyFile(const std::string& path);
 
 }  // namespace hdmm
 

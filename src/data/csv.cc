@@ -34,25 +34,25 @@ std::vector<std::string> SplitCsvLine(const std::string& line) {
   return fields;
 }
 
-std::string LineError(int line_no, const std::string& message) {
+// A kInvalidArgument status anchored at a CSV line.
+Status LineError(int line_no, const std::string& message) {
   char buf[512];
   std::snprintf(buf, sizeof(buf), "line %d: %s", line_no, message.c_str());
-  return buf;
+  return Status::InvalidArgument(buf);
 }
 
 }  // namespace
 
-bool ParseCsvDataset(const std::string& text, const Domain& domain,
-                     Dataset* out, std::string* error) {
-  HDMM_CHECK(out != nullptr && error != nullptr);
+Status ParseCsvDataset(const std::string& text, const Domain& domain,
+                       Dataset* out) {
+  HDMM_CHECK(out != nullptr);
   std::istringstream in(text);
   std::string line;
   int line_no = 0;
 
   // Header: map CSV column -> domain attribute.
   if (!std::getline(in, line)) {
-    *error = "empty input (missing header)";
-    return false;
+    return Status::InvalidArgument("empty input (missing header)");
   }
   ++line_no;
   const std::vector<std::string> header = SplitCsvLine(line);
@@ -65,23 +65,20 @@ bool ParseCsvDataset(const std::string& text, const Domain& domain,
       if (domain.AttributeName(a) == header[c]) attr = a;
     }
     if (attr < 0) {
-      *error = LineError(line_no, "header column '" + header[c] +
-                                      "' is not a domain attribute");
-      return false;
+      return LineError(line_no, "header column '" + header[c] +
+                                    "' is not a domain attribute");
     }
     if (attr_seen[static_cast<size_t>(attr)]) {
-      *error = LineError(line_no,
-                         "duplicate header column '" + header[c] + "'");
-      return false;
+      return LineError(line_no,
+                       "duplicate header column '" + header[c] + "'");
     }
     attr_seen[static_cast<size_t>(attr)] = true;
     column_attr[c] = attr;
   }
   for (int a = 0; a < d; ++a) {
     if (!attr_seen[static_cast<size_t>(a)]) {
-      *error = LineError(line_no, "header is missing domain attribute '" +
-                                      domain.AttributeName(a) + "'");
-      return false;
+      return LineError(line_no, "header is missing domain attribute '" +
+                                    domain.AttributeName(a) + "'");
     }
   }
 
@@ -92,46 +89,40 @@ bool ParseCsvDataset(const std::string& text, const Domain& domain,
     if (Trim(line).empty()) continue;
     const std::vector<std::string> fields = SplitCsvLine(line);
     if (fields.size() != header.size()) {
-      *error = LineError(
+      return LineError(
           line_no, "expected " + std::to_string(header.size()) +
                        " fields, got " + std::to_string(fields.size()));
-      return false;
     }
     for (size_t c = 0; c < fields.size(); ++c) {
       const int attr = column_attr[c];
       char* end = nullptr;
       const long long v = std::strtoll(fields[c].c_str(), &end, 10);
       if (fields[c].empty() || end != fields[c].c_str() + fields[c].size()) {
-        *error = LineError(line_no, "non-integer value '" + fields[c] +
-                                        "' for attribute '" +
-                                        domain.AttributeName(attr) + "'");
-        return false;
+        return LineError(line_no, "non-integer value '" + fields[c] +
+                                      "' for attribute '" +
+                                      domain.AttributeName(attr) + "'");
       }
       if (v < 0 || v >= domain.AttributeSize(attr)) {
-        *error = LineError(
+        return LineError(
             line_no, "value " + std::to_string(v) + " outside dom(" +
                          domain.AttributeName(attr) + ") = [0, " +
                          std::to_string(domain.AttributeSize(attr)) + ")");
-        return false;
       }
       coords[static_cast<size_t>(attr)] = v;
     }
     dataset.AddRecord(coords);
   }
   *out = std::move(dataset);
-  return true;
+  return Status::Ok();
 }
 
-bool LoadCsvDataset(const std::string& path, const Domain& domain,
-                    Dataset* out, std::string* error) {
+Status LoadCsvDataset(const std::string& path, const Domain& domain,
+                      Dataset* out) {
   std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open '" + path + "'";
-    return false;
-  }
+  if (!in) return Status::IoError("cannot open '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return ParseCsvDataset(buffer.str(), domain, out, error);
+  return ParseCsvDataset(buffer.str(), domain, out);
 }
 
 std::string WriteCsvDataset(const Dataset& dataset) {

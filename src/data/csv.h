@@ -8,6 +8,7 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "data/dataset.h"
 #include "workload/domain.h"
 
@@ -15,14 +16,16 @@ namespace hdmm {
 
 /// Parses CSV text into a Dataset over `domain`. The header must name every
 /// domain attribute exactly once (column order is free; the domain gives the
-/// canonical order). Values must be integers in [0, |dom(A)|). Returns false
-/// and fills *error with a line-numbered message on any malformed content.
-bool ParseCsvDataset(const std::string& text, const Domain& domain,
-                     Dataset* out, std::string* error);
+/// canonical order). Values must be integers in [0, |dom(A)|). Any
+/// malformed content is kInvalidArgument with a line-numbered message, and
+/// *out is left untouched. (Dataset has no default constructor, so this
+/// fills an out-pointer instead of returning StatusOr.)
+Status ParseCsvDataset(const std::string& text, const Domain& domain,
+                       Dataset* out);
 
-/// ParseCsvDataset from a file path.
-bool LoadCsvDataset(const std::string& path, const Domain& domain,
-                    Dataset* out, std::string* error);
+/// ParseCsvDataset from a file path (kIoError when it cannot be opened).
+Status LoadCsvDataset(const std::string& path, const Domain& domain,
+                      Dataset* out);
 
 /// Renders a dataset as CSV in domain attribute order (inverse of
 /// ParseCsvDataset; one row per record, header included).

@@ -104,19 +104,17 @@ BoxQuery FullRangeQuery(const Domain& domain) {
   return q;
 }
 
-bool ParseQueryLine(const std::string& line, const Domain& domain,
-                    BoxQuery* out, std::string* error) {
-  HDMM_CHECK(out != nullptr && error != nullptr);
+StatusOr<BoxQuery> ParseQueryLine(const std::string& line,
+                                  const Domain& domain) {
   std::istringstream in(line);
   std::string kind;
   in >> kind;
   if (kind != "point" && kind != "marginal" && kind != "range") {
-    *error = "unknown query kind '" + kind +
-             "' (want point | marginal | range)";
-    return false;
+    return Status::InvalidArgument("unknown query kind '" + kind +
+                                   "' (want point | marginal | range)");
   }
   const bool allow_range = kind == "range";
-  *out = FullRangeQuery(domain);
+  BoxQuery out = FullRangeQuery(domain);
   std::vector<bool> seen(static_cast<size_t>(domain.NumAttributes()), false);
 
   std::string token;
@@ -124,56 +122,46 @@ bool ParseQueryLine(const std::string& line, const Domain& domain,
   while (in >> token) {
     const size_t eq = token.find('=');
     if (eq == std::string::npos || eq == 0) {
-      *error = "bad term '" + token + "' (want attr=value)";
-      return false;
+      return Status::InvalidArgument("bad term '" + token +
+                                     "' (want attr=value)");
     }
     const std::string ref = token.substr(0, eq);
     int attr = -1;
     if (!ResolveAttribute(domain, ref, &attr)) {
-      *error = "unknown attribute '" + ref + "'";
-      return false;
+      return Status::InvalidArgument("unknown attribute '" + ref + "'");
     }
     if (seen[static_cast<size_t>(attr)]) {
-      *error = "attribute '" + ref + "' bound twice";
-      return false;
+      return Status::InvalidArgument("attribute '" + ref + "' bound twice");
     }
     seen[static_cast<size_t>(attr)] = true;
     int64_t lo = 0, hi = 0;
     if (!ParseBound(token.substr(eq + 1), &lo, &hi, allow_range)) {
-      *error = "bad value '" + token.substr(eq + 1) + "'" +
-               (allow_range ? " (want V or LO:HI)" : " (want a single value)");
-      return false;
+      return Status::InvalidArgument(
+          "bad value '" + token.substr(eq + 1) + "'" +
+          (allow_range ? " (want V or LO:HI)" : " (want a single value)"));
     }
     if (lo < 0 || hi < lo || hi >= domain.AttributeSize(attr)) {
-      *error = "bounds for '" + ref + "' outside [0, " +
-               std::to_string(domain.AttributeSize(attr) - 1) + "]";
-      return false;
+      return Status::InvalidArgument(
+          "bounds for '" + ref + "' outside [0, " +
+          std::to_string(domain.AttributeSize(attr) - 1) + "]");
     }
-    out->lo[static_cast<size_t>(attr)] = lo;
-    out->hi[static_cast<size_t>(attr)] = hi;
+    out.lo[static_cast<size_t>(attr)] = lo;
+    out.hi[static_cast<size_t>(attr)] = hi;
     ++bound_count;
   }
   if (kind == "point" && bound_count != domain.NumAttributes()) {
-    *error = "point query must fix every attribute (" +
-             std::to_string(bound_count) + " of " +
-             std::to_string(domain.NumAttributes()) + " given)";
-    return false;
+    return Status::InvalidArgument(
+        "point query must fix every attribute (" +
+        std::to_string(bound_count) + " of " +
+        std::to_string(domain.NumAttributes()) + " given)");
   }
   if (bound_count == 0 && kind != "range") {
-    *error = "query binds no attributes";
-    return false;
+    return Status::InvalidArgument("query binds no attributes");
   }
-  return true;
+  return out;
 }
 
 // --------------------------------------------------------------- session --
-
-MeasurementSession::MeasurementSession(
-    Domain domain, Vector x_hat, double epsilon,
-    std::shared_ptr<const Strategy> strategy, SessionStorageOptions storage)
-    : MeasurementSession(std::move(domain), std::move(x_hat),
-                         PrivacyCharge::Laplace(epsilon), std::move(strategy),
-                         std::move(storage)) {}
 
 MeasurementSession::MeasurementSession(
     Domain domain, Vector x_hat, PrivacyCharge charge,
@@ -700,11 +688,6 @@ Engine::Engine(EngineOptions options)
   }
 }
 
-PlanResult Engine::Plan(const UnionWorkload& w) {
-  // Without a token PlanOr cannot fail.
-  return std::move(PlanOr(w, nullptr)).value();
-}
-
 StatusOr<PlanResult> Engine::PlanOr(const UnionWorkload& w,
                                     const CancelToken* cancel) {
   HDMM_TRACE_SPAN("Engine::Plan");
@@ -764,8 +747,7 @@ StatusOr<PlanResult> Engine::PlanOr(const UnionWorkload& w,
   result.source = PlanSource::kOptimized;
   // A failed write-through must not be silent: the plan still serves, but
   // every restart would re-optimize until the directory is fixed.
-  const Status put_status = cache_.Put(result.fingerprint, result.strategy);
-  if (!put_status.ok()) result.cache_error = put_status.ToString();
+  result.cache_error = cache_.Put(result.fingerprint, result.strategy);
   optimized_count->Add(1);
   result.seconds = timer.Seconds();
   latency->Record(static_cast<uint64_t>(result.seconds * 1e9));
@@ -875,25 +857,6 @@ StatusOr<std::unique_ptr<MeasurementSession>> Engine::MeasureOr(
   session->AttachTicket(std::move(ticket));
   latency->Record(static_cast<uint64_t>(timer.Seconds() * 1e9));
   return session;
-}
-
-std::unique_ptr<MeasurementSession> Engine::Measure(
-    const UnionWorkload& w, const std::string& dataset_id, const Vector& x,
-    const MeasureRequest& request, Rng* rng, std::string* error) {
-  StatusOr<std::unique_ptr<MeasurementSession>> session =
-      MeasureOr(w, dataset_id, x, request, rng);
-  if (!session.ok()) {
-    if (error != nullptr) *error = session.status().message();
-    return nullptr;
-  }
-  return std::move(session).value();
-}
-
-std::unique_ptr<MeasurementSession> Engine::Measure(
-    const UnionWorkload& w, const std::string& dataset_id, const Vector& x,
-    double epsilon, Rng* rng, std::string* error) {
-  return Measure(w, dataset_id, x, MeasureRequest::Laplace(epsilon), rng,
-                 error);
 }
 
 }  // namespace hdmm

@@ -1,9 +1,9 @@
 // The serving engine: the library's compute-once/serve-many layer.
 //
-//   Plan        optimize-or-cache — fingerprint the (workload, options) pair,
+//   PlanOr      optimize-or-cache — fingerprint the (workload, options) pair,
 //               consult the two-tier StrategyCache, and only fall back to
 //               OPT_HDMM on a genuine miss.
-//   Measure     one budgeted noisy measurement of a dataset: the accountant
+//   MeasureOr   one budgeted noisy measurement of a dataset: the accountant
 //               charges the measurement's privacy cost (epsilon under pure-dp
 //               sequential composition, rho under zCDP — refusing over-budget
 //               requests before any noise is drawn), then the session holds
@@ -17,7 +17,7 @@
 //               lazily on first use, so a batch never densifies a workload
 //               matrix and per-query cost is O(2^d) instead of O(N).
 //
-// Everything downstream of Measure is post-processing of a differentially
+// Everything downstream of MeasureOr is post-processing of a differentially
 // private release: answering any number of queries from a session consumes
 // no additional budget.
 #ifndef HDMM_ENGINE_ENGINE_H_
@@ -70,11 +70,10 @@ BoxQuery FullRangeQuery(const Domain& domain);
 /// Attributes are referenced by name; zero-based indices are accepted only
 /// for fully unnamed domains (on a named schema a bare index is rejected —
 /// silently binding positions would answer the wrong query if the schema
-/// order ever changes). Returns false with a message on malformed input,
-/// unknown attributes, out-of-range values, or (for `point`) missing
-/// attributes.
-bool ParseQueryLine(const std::string& line, const Domain& domain,
-                    BoxQuery* out, std::string* error);
+/// order ever changes). kInvalidArgument on malformed input, unknown
+/// attributes, out-of-range values, or (for `point`) missing attributes.
+StatusOr<BoxQuery> ParseQueryLine(const std::string& line,
+                                  const Domain& domain);
 
 /// One measured (noisy, theta-unscaled) marginal table: the unbiased DP
 /// estimate of the marginal over `mask`'s attributes, laid out row-major
@@ -117,12 +116,7 @@ struct MeasuredMarginal {
 /// for new admissions.
 class MeasurementSession : public GovernedSession {
  public:
-  /// Generic session over an already-reconstructed x_hat (Laplace charge).
-  MeasurementSession(Domain domain, Vector x_hat, double epsilon,
-                     std::shared_ptr<const Strategy> strategy,
-                     SessionStorageOptions storage = {});
-
-  /// Generic session with an explicit privacy charge.
+  /// Generic session over an already-reconstructed x_hat.
   MeasurementSession(Domain domain, Vector x_hat, PrivacyCharge charge,
                      std::shared_ptr<const Strategy> strategy,
                      SessionStorageOptions storage = {});
@@ -316,10 +310,10 @@ struct PlanResult {
   std::shared_ptr<const Strategy> strategy;
   Fingerprint fingerprint;
   PlanSource source = PlanSource::kOptimized;
-  double seconds = 0.0;  ///< Wall time spent inside Plan.
+  double seconds = 0.0;  ///< Wall time spent inside PlanOr.
   /// GramCache traffic observed during this plan's optimization window
   /// (both zero on strategy-cache hits — the optimizer never ran). The
-  /// counters are deltas of the process-wide cache, so Plan calls running
+  /// counters are deltas of the process-wide cache, so PlanOr calls running
   /// concurrently see each other's traffic folded in; the numbers are
   /// diagnostics for serial planning (benches, CLI), not an exact per-plan
   /// attribution. A warm gram cache makes even a strategy-cache *miss*
@@ -327,10 +321,10 @@ struct PlanResult {
   /// across plan calls.
   uint64_t gram_cache_hits = 0;
   uint64_t gram_cache_misses = 0;
-  /// Non-empty when a freshly optimized strategy could not be written
-  /// through to the disk tier (the in-memory plan is still valid, but warm
-  /// restarts will re-optimize until the directory is fixed).
-  std::string cache_error;
+  /// Not OK when a freshly optimized strategy could not be written through
+  /// to the disk tier (the in-memory plan is still valid, but warm restarts
+  /// will re-optimize until the directory is fixed).
+  Status cache_error;
 };
 
 /// One measurement request: which mechanism, at what cost.
@@ -343,18 +337,18 @@ struct MeasureRequest {
   static MeasureRequest Gaussian(double rho);
 };
 
-/// The serving facade. Thread-safe: Plan/Measure may be called concurrently;
-/// sessions returned by Measure are independent.
+/// The serving facade. Thread-safe: PlanOr/MeasureOr may be called
+/// concurrently; sessions returned by MeasureOr are independent.
 class Engine {
  public:
   explicit Engine(EngineOptions options);
 
   /// Optimize-or-cache. On a miss runs OPT_HDMM and write-throughs the
-  /// result; on a hit the optimization is skipped entirely.
-  PlanResult Plan(const UnionWorkload& w);
-
-  /// Plan with a cooperative deadline/cancel. The token is polled before
-  /// the cache lookup, before each restart job, and once per L-BFGS-B
+  /// result (a failed write-through is reported in `cache_error`, not as
+  /// an error status); on a hit the optimization is skipped entirely.
+  ///
+  /// `cancel` adds a cooperative deadline/cancel. It is polled before the
+  /// cache lookup, before each restart job, and once per L-BFGS-B
   /// iteration inside the optimizer, so a ~0.5 s cold plan stops within
   /// a few milliseconds of the deadline. A cancelled plan has no side
   /// effects: the abandoned partial strategy is never cached (it is a
@@ -362,7 +356,7 @@ class Engine {
   /// Null `cancel` never fails. Strategy selection is data-independent, so
   /// cancelling a plan costs nothing but the wasted CPU.
   StatusOr<PlanResult> PlanOr(const UnionWorkload& w,
-                              const CancelToken* cancel);
+                              const CancelToken* cancel = nullptr);
 
   /// Plans, charges the request's cost against `dataset_id`, measures the
   /// data vector `x` with the requested mechanism, and builds a session
@@ -380,22 +374,6 @@ class Engine {
       const UnionWorkload& w, const std::string& dataset_id, const Vector& x,
       const MeasureRequest& request, Rng* rng,
       const CancelToken* cancel = nullptr);
-
-  /// Pointer-shaped wrapper over MeasureOr: nullptr (with *error holding
-  /// the status message) on refusal.
-  std::unique_ptr<MeasurementSession> Measure(const UnionWorkload& w,
-                                              const std::string& dataset_id,
-                                              const Vector& x,
-                                              const MeasureRequest& request,
-                                              Rng* rng,
-                                              std::string* error = nullptr);
-
-  /// Laplace shorthand (the pre-zCDP interface).
-  std::unique_ptr<MeasurementSession> Measure(const UnionWorkload& w,
-                                              const std::string& dataset_id,
-                                              const Vector& x, double epsilon,
-                                              Rng* rng,
-                                              std::string* error = nullptr);
 
   BudgetAccountant& accountant() { return accountant_; }
   StrategyCache& cache() { return cache_; }

@@ -1,5 +1,6 @@
 #include "engine/strategy_cache.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -83,10 +84,10 @@ std::shared_ptr<const Strategy> StrategyCache::Get(const Fingerprint& fp,
   // must not serialize unrelated lookups.
   const std::string path = DiskPath(fp);
   if (!path.empty()) {
-    std::unique_ptr<Strategy> loaded;
-    const Status status = LoadStrategyFileOr(path, &loaded);
+    StatusOr<std::unique_ptr<Strategy>> loaded = LoadStrategyFile(path);
+    const Status& status = loaded.status();
     if (status.ok()) {
-      std::shared_ptr<const Strategy> shared = std::move(loaded);
+      std::shared_ptr<const Strategy> shared = std::move(loaded).value();
       std::lock_guard<std::mutex> lock(mu_);
       ++stats_.disk_hits;
       g_disk_hits->Add(1);
@@ -190,10 +191,10 @@ Status StrategyCache::Put(const Fingerprint& fp,
     }
     Failpoints::CrashNow();
   }
-  std::string io_error;
-  if (!SaveStrategyFile(tmp_path, *strategy, &io_error)) {
+  const Status saved = SaveStrategyFile(tmp_path, *strategy);
+  if (!saved.ok()) {
     std::filesystem::remove(tmp_path, ec);  // Best effort: no torn residue.
-    return disk_failed(Status::IoError(io_error));
+    return disk_failed(saved);
   }
   if (HDMM_FAILPOINT("strategy_cache.put.tmp_synced")) {
     // Complete tmp file on disk, crash before rename: recovery sees a stale
@@ -206,6 +207,13 @@ Status StrategyCache::Put(const Fingerprint& fp,
     return disk_failed(
         Status::IoError("cannot move strategy file into place at '" + path +
                         "'"));
+  }
+  // Make the rename itself durable (best effort, like the ledger's): the
+  // tmp file's bytes are already fsync'd by SaveStrategyFile.
+  const int dir_fd = ::open(options_.disk_dir.c_str(), O_RDONLY);
+  if (dir_fd >= 0) {
+    ::fsync(dir_fd);
+    ::close(dir_fd);
   }
   if (HDMM_FAILPOINT("strategy_cache.put.after_rename")) {
     // Crash after the atomic install: recovery must parse a complete file.

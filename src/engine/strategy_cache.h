@@ -1,5 +1,5 @@
 // Fingerprint-keyed strategy cache: the storage half of the serve-many
-// engine. A warm Plan() is a hash-map lookup (or a file read after a
+// engine. A warm PlanOr() is a hash-map lookup (or a file read after a
 // restart) instead of an L-BFGS optimization run — the paper's Section 3.6
 // deployment argument made concrete. Two tiers:
 //

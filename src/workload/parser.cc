@@ -6,7 +6,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/check.h"
 #include "workload/building_blocks.h"
 #include "workload/marginals.h"
 
@@ -63,10 +62,11 @@ bool ParseDouble(const std::string& s, double* out) {
   return true;
 }
 
-std::string LineError(int line_no, const std::string& message) {
+// A kInvalidArgument status anchored at a spec line.
+Status LineError(int line_no, const std::string& message) {
   char buf[512];
   std::snprintf(buf, sizeof(buf), "line %d: %s", line_no, message.c_str());
-  return buf;
+  return Status::InvalidArgument(buf);
 }
 
 // --- Block parsing ----------------------------------------------------------
@@ -338,9 +338,7 @@ std::string SerializeBlock(const Matrix& m) {
 
 }  // namespace
 
-bool ParseWorkload(const std::string& text, UnionWorkload* out,
-                   std::string* error) {
-  HDMM_CHECK(out != nullptr && error != nullptr);
+StatusOr<UnionWorkload> ParseWorkload(const std::string& text) {
   std::istringstream in(text);
   std::string raw;
   int line_no = 0;
@@ -360,8 +358,7 @@ bool ParseWorkload(const std::string& text, UnionWorkload* out,
 
     if (keyword == "domain") {
       if (have_domain) {
-        *error = LineError(line_no, "duplicate domain declaration");
-        return false;
+        return LineError(line_no, "duplicate domain declaration");
       }
       std::vector<std::string> names;
       std::vector<int64_t> sizes;
@@ -370,22 +367,19 @@ bool ParseWorkload(const std::string& text, UnionWorkload* out,
         int64_t size;
         if (!SplitKeyValue(tokens[i], &key, &value) ||
             !ParseInt(value, &size) || size < 1) {
-          *error = LineError(line_no, "bad attribute '" + tokens[i] +
-                                          "' (want name=size)");
-          return false;
+          return LineError(line_no, "bad attribute '" + tokens[i] +
+                                        "' (want name=size)");
         }
         for (const std::string& existing : names) {
           if (existing == key) {
-            *error = LineError(line_no, "duplicate attribute '" + key + "'");
-            return false;
+            return LineError(line_no, "duplicate attribute '" + key + "'");
           }
         }
         names.push_back(key);
         sizes.push_back(size);
       }
       if (names.empty()) {
-        *error = LineError(line_no, "domain needs at least one attribute");
-        return false;
+        return LineError(line_no, "domain needs at least one attribute");
       }
       attr_names = names;
       domain = Domain(std::move(names), std::move(sizes));
@@ -395,8 +389,7 @@ bool ParseWorkload(const std::string& text, UnionWorkload* out,
     }
 
     if (!have_domain) {
-      *error = LineError(line_no, "expected a domain declaration first");
-      return false;
+      return LineError(line_no, "expected a domain declaration first");
     }
 
     if (keyword == "product") {
@@ -409,14 +402,12 @@ bool ParseWorkload(const std::string& text, UnionWorkload* out,
       for (size_t i = 1; i < tokens.size(); ++i) {
         std::string key, value;
         if (!SplitKeyValue(tokens[i], &key, &value)) {
-          *error = LineError(line_no, "bad token '" + tokens[i] +
-                                          "' (want attr=block or weight=X)");
-          return false;
+          return LineError(line_no, "bad token '" + tokens[i] +
+                                        "' (want attr=block or weight=X)");
         }
         if (Lower(key) == "weight") {
           if (!ParseDouble(value, &weight) || weight <= 0.0) {
-            *error = LineError(line_no, "bad weight '" + value + "'");
-            return false;
+            return LineError(line_no, "bad weight '" + value + "'");
           }
           continue;
         }
@@ -425,20 +416,17 @@ bool ParseWorkload(const std::string& text, UnionWorkload* out,
           if (attr_names[a] == key) attr = static_cast<int>(a);
         }
         if (attr < 0) {
-          *error = LineError(line_no, "unknown attribute '" + key + "'");
-          return false;
+          return LineError(line_no, "unknown attribute '" + key + "'");
         }
         if (set[static_cast<size_t>(attr)]) {
-          *error = LineError(line_no,
-                             "attribute '" + key + "' mentioned twice");
-          return false;
+          return LineError(line_no,
+                           "attribute '" + key + "' mentioned twice");
         }
         set[static_cast<size_t>(attr)] = true;
         std::string why;
         if (!BuildBlock(value, domain.AttributeSize(attr),
                         &factors[static_cast<size_t>(attr)], &why)) {
-          *error = LineError(line_no, why);
-          return false;
+          return LineError(line_no, why);
         }
       }
       ProductWorkload p;
@@ -450,9 +438,8 @@ bool ParseWorkload(const std::string& text, UnionWorkload* out,
 
     if (keyword == "marginals") {
       if (tokens.size() != 2) {
-        *error = LineError(line_no,
-                           "marginals needs exactly one of: k=K, upto=K, all");
-        return false;
+        return LineError(line_no,
+                         "marginals needs exactly one of: k=K, upto=K, all");
       }
       const std::string& arg = tokens[1];
       UnionWorkload marg;
@@ -463,59 +450,40 @@ bool ParseWorkload(const std::string& text, UnionWorkload* out,
         int64_t k;
         if (!SplitKeyValue(arg, &key, &value) || !ParseInt(value, &k) ||
             k < 0 || k > domain.NumAttributes()) {
-          *error = LineError(
+          return LineError(
               line_no, "bad marginals argument '" + arg +
                            "' (want k=K or upto=K with 0 <= K <= d, or all)");
-          return false;
         }
         if (Lower(key) == "k") {
           marg = KWayMarginals(domain, static_cast<int>(k));
         } else if (Lower(key) == "upto") {
           marg = UpToKWayMarginals(domain, static_cast<int>(k));
         } else {
-          *error = LineError(line_no, "bad marginals key '" + key + "'");
-          return false;
+          return LineError(line_no, "bad marginals key '" + key + "'");
         }
       }
       for (const ProductWorkload& p : marg.products()) result.AddProduct(p);
       continue;
     }
 
-    *error = LineError(line_no, "unknown directive '" + tokens[0] + "'");
-    return false;
+    return LineError(line_no, "unknown directive '" + tokens[0] + "'");
   }
 
   if (!have_domain) {
-    *error = "missing domain declaration";
-    return false;
+    return Status::InvalidArgument("missing domain declaration");
   }
   if (result.NumProducts() == 0) {
-    *error = "workload has no products";
-    return false;
+    return Status::InvalidArgument("workload has no products");
   }
-  *out = std::move(result);
-  return true;
+  return result;
 }
 
-bool LoadWorkloadFile(const std::string& path, UnionWorkload* out,
-                      std::string* error) {
+StatusOr<UnionWorkload> LoadWorkloadFile(const std::string& path) {
   std::ifstream in(path);
-  if (!in) {
-    *error = "cannot open '" + path + "'";
-    return false;
-  }
+  if (!in) return Status::IoError("cannot open '" + path + "'");
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  return ParseWorkload(buffer.str(), out, error);
-}
-
-UnionWorkload ParseWorkloadOrDie(const std::string& text) {
-  UnionWorkload w;
-  std::string error;
-  if (!ParseWorkload(text, &w, &error)) {
-    HDMM_CHECK_MSG(false, error.c_str());
-  }
-  return w;
+  return ParseWorkload(buffer.str());
 }
 
 std::string SerializeWorkload(const UnionWorkload& w) {

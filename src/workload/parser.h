@@ -37,24 +37,20 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "workload/workload.h"
 
 namespace hdmm {
 
-/// Parses a workload spec. On success fills *out and returns true; on
-/// malformed input returns false and fills *error with a line-numbered
-/// message. The spec must contain exactly one `domain` line (first
-/// non-comment line) and at least one workload line.
-bool ParseWorkload(const std::string& text, UnionWorkload* out,
-                   std::string* error);
+/// Parses a workload spec; malformed input is kInvalidArgument with a
+/// line-numbered message. The spec must contain exactly one `domain` line
+/// (first non-comment line) and at least one workload line. For a spec that
+/// is a compile-time constant, `ParseWorkload(spec).value()` dies with that
+/// message.
+StatusOr<UnionWorkload> ParseWorkload(const std::string& text);
 
-/// ParseWorkload from a file path.
-bool LoadWorkloadFile(const std::string& path, UnionWorkload* out,
-                      std::string* error);
-
-/// ParseWorkload that dies with a diagnostic on malformed input (for tests
-/// and examples where the spec is a compile-time constant).
-UnionWorkload ParseWorkloadOrDie(const std::string& text);
+/// ParseWorkload from a file path (kIoError when it cannot be opened).
+StatusOr<UnionWorkload> LoadWorkloadFile(const std::string& path);
 
 /// Renders a workload back into the spec format. Factors whose structure
 /// matches a named block (identity, total, prefix, point, range, ...) are

@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "common/check.h"
 #include "workload/building_blocks.h"
 
 namespace hdmm {
@@ -32,8 +31,7 @@ std::string UpperCase(std::string s) {
   return s;
 }
 
-bool Tokenize(const std::string& sql, std::vector<Token>* out,
-              std::string* error) {
+Status Tokenize(const std::string& sql, std::vector<Token>* out) {
   size_t i = 0;
   while (i < sql.size()) {
     const char c = sql[i];
@@ -72,8 +70,8 @@ bool Tokenize(const std::string& sql, std::vector<Token>* out,
       tok.raw = sql.substr(i, j - i);
       tok.text = tok.raw;
       if (tok.text == "!") {
-        *error = "offset " + std::to_string(i) + ": stray '!'";
-        return false;
+        return Status::InvalidArgument("offset " + std::to_string(i) +
+                                       ": stray '!'");
       }
       i = j;
     } else if (c == ',' || c == '(' || c == ')' || c == '*' || c == '=') {
@@ -82,16 +80,16 @@ bool Tokenize(const std::string& sql, std::vector<Token>* out,
       tok.text = tok.raw;
       ++i;
     } else {
-      *error = "offset " + std::to_string(i) + ": unexpected character '" +
-               std::string(1, c) + "'";
-      return false;
+      return Status::InvalidArgument("offset " + std::to_string(i) +
+                                     ": unexpected character '" +
+                                     std::string(1, c) + "'");
     }
     out->push_back(std::move(tok));
   }
   Token end;
   end.offset = sql.size();
   out->push_back(end);
-  return true;
+  return Status::Ok();
 }
 
 // --- Parser ------------------------------------------------------------------
@@ -101,8 +99,8 @@ class SqlParser {
   SqlParser(std::vector<Token> tokens, const Domain& domain)
       : tokens_(std::move(tokens)), domain_(domain) {}
 
-  bool Parse(ProductWorkload* out, std::string* error) {
-    error_ = error;
+  /// On false, error() holds the offset-anchored message.
+  bool Parse(ProductWorkload* out) {
     // Per-attribute predicate masks; empty = unconstrained.
     masks_.assign(static_cast<size_t>(domain_.NumAttributes()), Vector());
     group_by_.assign(static_cast<size_t>(domain_.NumAttributes()), false);
@@ -142,12 +140,14 @@ class SqlParser {
     return BuildProduct(out);
   }
 
+  const std::string& error() const { return error_; }
+
  private:
   const Token& Current() const { return tokens_[pos_]; }
   void Advance() { ++pos_; }
 
   bool Fail(const std::string& message) {
-    *error_ = "offset " + std::to_string(Current().offset) + ": " + message;
+    error_ = "offset " + std::to_string(Current().offset) + ": " + message;
     return false;
   }
 
@@ -206,7 +206,7 @@ class SqlParser {
       if (!ParseAttribute(&attr)) return false;
       select_attrs_.push_back(attr);
       if (!ExpectSymbol(",")) {
-        *error_ += " (the select list must end with COUNT(*))";
+        error_ += " (the select list must end with COUNT(*))";
         return false;
       }
     }
@@ -348,7 +348,7 @@ class SqlParser {
   std::vector<Token> tokens_;
   const Domain& domain_;
   size_t pos_ = 0;
-  std::string* error_ = nullptr;
+  std::string error_;
 
   std::vector<Vector> masks_;
   std::vector<bool> group_by_;
@@ -357,18 +357,18 @@ class SqlParser {
 
 }  // namespace
 
-bool ParseSqlQuery(const std::string& sql, const Domain& domain,
-                   ProductWorkload* out, std::string* error) {
-  HDMM_CHECK(out != nullptr && error != nullptr);
+StatusOr<ProductWorkload> ParseSqlQuery(const std::string& sql,
+                                        const Domain& domain) {
   std::vector<Token> tokens;
-  if (!Tokenize(sql, &tokens, error)) return false;
+  HDMM_RETURN_IF_ERROR(Tokenize(sql, &tokens));
   SqlParser parser(std::move(tokens), domain);
-  return parser.Parse(out, error);
+  ProductWorkload out;
+  if (!parser.Parse(&out)) return Status::InvalidArgument(parser.error());
+  return out;
 }
 
-bool ParseSqlWorkload(const std::string& script, const Domain& domain,
-                      UnionWorkload* out, std::string* error) {
-  HDMM_CHECK(out != nullptr && error != nullptr);
+StatusOr<UnionWorkload> ParseSqlWorkload(const std::string& script,
+                                         const Domain& domain) {
   UnionWorkload result(domain);
   size_t start = 0;
   int statement_no = 0;
@@ -385,29 +385,16 @@ bool ParseSqlWorkload(const std::string& script, const Domain& domain,
     if (blank) continue;
 
     ++statement_no;
-    ProductWorkload p;
-    if (!ParseSqlQuery(stmt, domain, &p, error)) {
-      *error = "statement " + std::to_string(statement_no) + ": " + *error;
-      return false;
+    StatusOr<ProductWorkload> p = ParseSqlQuery(stmt, domain);
+    if (!p.ok()) {
+      return p.status().Annotated("statement " + std::to_string(statement_no));
     }
-    result.AddProduct(std::move(p));
+    result.AddProduct(std::move(p).value());
   }
   if (result.NumProducts() == 0) {
-    *error = "script contains no statements";
-    return false;
+    return Status::InvalidArgument("script contains no statements");
   }
-  *out = std::move(result);
-  return true;
-}
-
-UnionWorkload ParseSqlWorkloadOrDie(const std::string& script,
-                                    const Domain& domain) {
-  UnionWorkload w;
-  std::string error;
-  if (!ParseSqlWorkload(script, domain, &w, &error)) {
-    HDMM_CHECK_MSG(false, error.c_str());
-  }
-  return w;
+  return result;
 }
 
 }  // namespace hdmm

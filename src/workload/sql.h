@@ -28,26 +28,24 @@
 
 #include <string>
 
+#include "common/status.h"
 #include "workload/domain.h"
 #include "workload/workload.h"
 
 namespace hdmm {
 
 /// Translates one SELECT COUNT(*) statement (without trailing semicolon)
-/// into a product workload over `domain`. Returns false and fills *error on
-/// syntax errors, unknown attributes, or out-of-domain constants.
-bool ParseSqlQuery(const std::string& sql, const Domain& domain,
-                   ProductWorkload* out, std::string* error);
+/// into a product workload over `domain`. kInvalidArgument on syntax
+/// errors, unknown attributes, or out-of-domain constants.
+StatusOr<ProductWorkload> ParseSqlQuery(const std::string& sql,
+                                        const Domain& domain);
 
 /// Translates a script of semicolon-separated statements into a union of
 /// products (one product per statement, in order). Empty statements are
-/// ignored; the script must contain at least one query.
-bool ParseSqlWorkload(const std::string& script, const Domain& domain,
-                      UnionWorkload* out, std::string* error);
-
-/// ParseSqlWorkload that dies with a diagnostic on malformed input.
-UnionWorkload ParseSqlWorkloadOrDie(const std::string& script,
-                                    const Domain& domain);
+/// ignored; the script must contain at least one query. Errors carry a
+/// "statement N: " prefix.
+StatusOr<UnionWorkload> ParseSqlWorkload(const std::string& script,
+                                         const Domain& domain);
 
 }  // namespace hdmm
 

@@ -32,8 +32,7 @@ CrashResult RunCrashChild(
   if (pid == 0) {
     ::close(fds[0]);
     const int ack_fd = fds[1];
-    std::string error;
-    if (!Failpoints::ActivateSpec(failpoint_spec, &error)) _exit(3);
+    if (!Failpoints::ActivateSpec(failpoint_spec).ok()) _exit(3);
     const auto ack = [ack_fd] {
       const char byte = 'A';
       (void)!::write(ack_fd, &byte, 1);

@@ -61,7 +61,9 @@ CrashResult CrashChargingChild(const std::string& ledger,
   return RunCrashChild(spec, [&ledger](const std::function<void()>& ack) {
     BudgetAccountant accountant(100.0, ledger);
     for (int i = 0; i < kAttempts; ++i) {
-      if (!accountant.TryCharge("census", kEps)) break;
+      if (!accountant.Charge("census", PrivacyCharge::Laplace(kEps)).ok()) {
+        break;
+      }
       ack();
     }
   });
@@ -165,11 +167,10 @@ TEST(CrashRecovery, CacheSurvivesEveryPutCrashSite) {
     // only live in `.tmp` siblings.
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
       if (entry.path().extension() != ".strategy") continue;
-      std::unique_ptr<Strategy> loaded;
-      const Status status = LoadStrategyFileOr(entry.path().string(), &loaded);
-      EXPECT_TRUE(status.ok())
+      const auto loaded = LoadStrategyFile(entry.path().string());
+      EXPECT_TRUE(loaded.ok())
           << site << ": torn install at " << entry.path() << ": "
-          << status.ToString();
+          << loaded.status().ToString();
     }
 
     // Invariant 2: a fresh cache over the same directory serves without
@@ -203,14 +204,14 @@ TEST(FlockBackoff, RetriesThroughInjectedContention) {
   // Three attempts see a held lock (injected), the fourth succeeds — the
   // accountant must come up instead of dying on the first busy attempt.
   const std::string dir = FreshDir("flock_injected");
-  ASSERT_TRUE(Failpoints::Activate("accountant.flock.busy", "times:3"));
+  ASSERT_TRUE(Failpoints::Activate("accountant.flock.busy", "times:3").ok());
   {
     BudgetAccountantOptions options;
     options.total_epsilon = 1.0;
     options.ledger_path = dir + "/budget.ledger";
     options.lock_timeout_ms = 5000;
     BudgetAccountant accountant(options);
-    EXPECT_TRUE(accountant.TryCharge("d", 0.5));
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(0.5)).ok());
   }
   EXPECT_GE(Failpoints::HitCount("accountant.flock.busy"), 4u);
   Failpoints::Deactivate("accountant.flock.busy");
@@ -222,7 +223,7 @@ TEST(FlockBackoff, WaitsOutARealHolderReleasingWithinDeadline) {
   const std::string dir = FreshDir("flock_real");
   const std::string ledger = dir + "/budget.ledger";
   auto first = std::make_unique<BudgetAccountant>(1.0, ledger);
-  EXPECT_TRUE(first->TryCharge("census", 0.6));
+  EXPECT_TRUE(first->Charge("census", PrivacyCharge::Laplace(0.6)).ok());
   std::thread releaser([&first] {
     std::this_thread::sleep_for(std::chrono::milliseconds(150));
     first.reset();  // Destructor releases the flock.
@@ -234,7 +235,7 @@ TEST(FlockBackoff, WaitsOutARealHolderReleasingWithinDeadline) {
   BudgetAccountant second(options);  // Blocks in backoff until the release.
   releaser.join();
   EXPECT_NEAR(second.Spent("census"), 0.6, 1e-12);
-  EXPECT_FALSE(second.TryCharge("census", 0.5));
+  EXPECT_FALSE(second.Charge("census", PrivacyCharge::Laplace(0.5)).ok());
 }
 
 // --------------------------------------------- injected I/O errors (no fork) --
@@ -242,17 +243,17 @@ TEST(FlockBackoff, WaitsOutARealHolderReleasingWithinDeadline) {
 TEST(InjectedFailure, AppendIoErrorRefusesChargeWithoutRecordingIt) {
   const std::string dir = FreshDir("inject_append_io");
   const std::string ledger = dir + "/budget.ledger";
-  ASSERT_TRUE(Failpoints::Activate("accountant.append.io_error", "nth:2"));
+  ASSERT_TRUE(Failpoints::Activate("accountant.append.io_error", "nth:2").ok());
   {
     BudgetAccountant accountant(10.0, ledger);
-    EXPECT_TRUE(accountant.TryCharge("d", 1.0));
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(1.0)).ok());
     // The injected failure refuses the charge as kIoError, spends nothing.
     const Status status = accountant.Charge("d", PrivacyCharge::Laplace(1.0));
     EXPECT_EQ(status.code(), StatusCode::kIoError);
     EXPECT_NEAR(accountant.Spent("d"), 1.0, 1e-12);
     // The accountant is not wedged: the rollback restored the record
     // boundary, so the next charge lands cleanly.
-    EXPECT_TRUE(accountant.TryCharge("d", 1.0));
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(1.0)).ok());
     EXPECT_NEAR(accountant.Spent("d"), 2.0, 1e-12);
   }
   Failpoints::Deactivate("accountant.append.io_error");
@@ -268,7 +269,8 @@ TEST(InjectedFailure, CacheDegradesToMemoryOnlyAfterRepeatedWriteFailures) {
   StrategyCacheOptions options;
   options.disk_dir = dir;
   StrategyCache cache(options);
-  ASSERT_TRUE(Failpoints::Activate("strategy_cache.put.io_error", "always"));
+  ASSERT_TRUE(
+      Failpoints::Activate("strategy_cache.put.io_error", "always").ok());
   for (int i = 0; i < StrategyCache::kDiskFailureLimit; ++i) {
     const Status status =
         cache.Put(Fingerprint{static_cast<uint64_t>(i + 1)},
@@ -294,18 +296,43 @@ TEST(InjectedFailure, OneCacheWriteSuccessResetsTheDegradationCounter) {
   StrategyCacheOptions options;
   options.disk_dir = dir;
   StrategyCache cache(options);
-  ASSERT_TRUE(Failpoints::Activate("strategy_cache.put.io_error", "times:2"));
+  ASSERT_TRUE(
+      Failpoints::Activate("strategy_cache.put.io_error", "times:2").ok());
   EXPECT_FALSE(cache.Put(Fingerprint{1}, CacheStrategy("a")).ok());
   EXPECT_FALSE(cache.Put(Fingerprint{2}, CacheStrategy("b")).ok());
   EXPECT_FALSE(cache.DiskWriteDegraded());
   // A success between failures resets the consecutive count...
   EXPECT_TRUE(cache.Put(Fingerprint{3}, CacheStrategy("c")).ok());
   // ...so two more failures still stay under the limit.
-  ASSERT_TRUE(Failpoints::Activate("strategy_cache.put.io_error", "times:2"));
+  ASSERT_TRUE(
+      Failpoints::Activate("strategy_cache.put.io_error", "times:2").ok());
   EXPECT_FALSE(cache.Put(Fingerprint{4}, CacheStrategy("d")).ok());
   EXPECT_FALSE(cache.Put(Fingerprint{5}, CacheStrategy("e")).ok());
   EXPECT_FALSE(cache.DiskWriteDegraded());
   Failpoints::Deactivate("strategy_cache.put.io_error");
+}
+
+TEST(InjectedFailure, CacheFsyncFailureInstallsNothing) {
+  // Durable before installed: a strategy whose bytes cannot be fsync'd must
+  // never be renamed into place, or a power loss could leave a torn
+  // `<hex>.strategy` for the next restart to serve.
+  const std::string dir = FreshDir("inject_cache_fsync");
+  StrategyCacheOptions options;
+  options.disk_dir = dir;
+  StrategyCache cache(options);
+  ASSERT_TRUE(
+      Failpoints::Activate("strategy_io.save.fsync_error", "always").ok());
+  const Status status = cache.Put(Fingerprint{8}, CacheStrategy("unsynced"));
+  Failpoints::Deactivate("strategy_io.save.fsync_error");
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("fsync"), std::string::npos)
+      << status.ToString();
+  // Neither an installed entry nor tmp residue reached the directory.
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    ADD_FAILURE() << "unexpected file after a failed fsync: " << entry.path();
+  }
+  cache.ClearMemory();
+  EXPECT_EQ(cache.Get(Fingerprint{8}), nullptr);
 }
 
 TEST(InjectedFailure, CacheGetCountsInjectedReadErrorsAsMisses) {
@@ -315,7 +342,7 @@ TEST(InjectedFailure, CacheGetCountsInjectedReadErrorsAsMisses) {
   StrategyCache cache(options);
   ASSERT_TRUE(cache.Put(Fingerprint{7}, CacheStrategy("durable")).ok());
   cache.ClearMemory();
-  ASSERT_TRUE(Failpoints::Activate("strategy_io.load.io_error", "always"));
+  ASSERT_TRUE(Failpoints::Activate("strategy_io.load.io_error", "always").ok());
   EXPECT_EQ(cache.Get(Fingerprint{7}), nullptr);
   EXPECT_EQ(cache.stats().disk_read_errors, 1u);
   EXPECT_EQ(cache.stats().corrupt_quarantined, 0u);

@@ -9,10 +9,9 @@ Domain MiniDomain() { return Domain({"sex", "age"}, {2, 5}); }
 
 TEST(Csv, ParsesRecordsInHeaderOrder) {
   Dataset d(MiniDomain());
-  std::string error;
-  ASSERT_TRUE(ParseCsvDataset("sex,age\n0,3\n1,4\n0,3\n", MiniDomain(), &d,
-                              &error))
-      << error;
+  const Status parsed =
+      ParseCsvDataset("sex,age\n0,3\n1,4\n0,3\n", MiniDomain(), &d);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
   EXPECT_EQ(d.NumRecords(), 3);
   Vector x = d.ToDataVector();
   EXPECT_DOUBLE_EQ(x[static_cast<size_t>(MiniDomain().Flatten({0, 3}))], 2.0);
@@ -21,10 +20,9 @@ TEST(Csv, ParsesRecordsInHeaderOrder) {
 
 TEST(Csv, HeaderOrderMayDiffer) {
   Dataset d(MiniDomain());
-  std::string error;
-  ASSERT_TRUE(
-      ParseCsvDataset("age,sex\n3,0\n4,1\n", MiniDomain(), &d, &error))
-      << error;
+  const Status parsed =
+      ParseCsvDataset("age,sex\n3,0\n4,1\n", MiniDomain(), &d);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
   Vector x = d.ToDataVector();
   EXPECT_DOUBLE_EQ(x[static_cast<size_t>(MiniDomain().Flatten({0, 3}))], 1.0);
   EXPECT_DOUBLE_EQ(x[static_cast<size_t>(MiniDomain().Flatten({1, 4}))], 1.0);
@@ -32,17 +30,15 @@ TEST(Csv, HeaderOrderMayDiffer) {
 
 TEST(Csv, SkipsBlankLinesAndTrimsWhitespace) {
   Dataset d(MiniDomain());
-  std::string error;
-  ASSERT_TRUE(ParseCsvDataset("sex, age\n 0 , 3 \n\n1,0\n\n", MiniDomain(),
-                              &d, &error))
-      << error;
+  const Status parsed =
+      ParseCsvDataset("sex, age\n 0 , 3 \n\n1,0\n\n", MiniDomain(), &d);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
   EXPECT_EQ(d.NumRecords(), 2);
 }
 
 TEST(Csv, EmptyBodyIsValid) {
   Dataset d(MiniDomain());
-  std::string error;
-  ASSERT_TRUE(ParseCsvDataset("sex,age\n", MiniDomain(), &d, &error));
+  ASSERT_TRUE(ParseCsvDataset("sex,age\n", MiniDomain(), &d).ok());
   EXPECT_EQ(d.NumRecords(), 0);
   EXPECT_DOUBLE_EQ(Sum(d.ToDataVector()), 0.0);
 }
@@ -56,10 +52,11 @@ class CsvErrorTest : public ::testing::TestWithParam<BadCsv> {};
 
 TEST_P(CsvErrorTest, RejectsWithMessage) {
   Dataset d(MiniDomain());
-  std::string error;
-  EXPECT_FALSE(ParseCsvDataset(GetParam().text, MiniDomain(), &d, &error));
-  EXPECT_NE(error.find(GetParam().message_fragment), std::string::npos)
-      << "actual error: " << error;
+  const Status status = ParseCsvDataset(GetParam().text, MiniDomain(), &d);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(GetParam().message_fragment),
+            std::string::npos)
+      << "actual error: " << status.message();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -79,10 +76,11 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Csv, ErrorsAreLineNumbered) {
   Dataset d(MiniDomain());
-  std::string error;
-  ASSERT_FALSE(
-      ParseCsvDataset("sex,age\n0,1\n0,9\n", MiniDomain(), &d, &error));
-  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  const Status status =
+      ParseCsvDataset("sex,age\n0,1\n0,9\n", MiniDomain(), &d);
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("line 3"), std::string::npos)
+      << status.message();
 }
 
 TEST(Csv, WriteParseRoundTrip) {
@@ -92,8 +90,8 @@ TEST(Csv, WriteParseRoundTrip) {
   d.AddRecord({1, 2});
   const std::string csv = WriteCsvDataset(d);
   Dataset back(MiniDomain());
-  std::string error;
-  ASSERT_TRUE(ParseCsvDataset(csv, MiniDomain(), &back, &error)) << error;
+  const Status parsed = ParseCsvDataset(csv, MiniDomain(), &back);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
   EXPECT_EQ(back.NumRecords(), 3);
   Vector x1 = d.ToDataVector();
   Vector x2 = back.ToDataVector();
@@ -110,9 +108,9 @@ TEST(Csv, WriteUsesGeneratedNamesForUnnamedDomains) {
 
 TEST(Csv, LoadMissingFile) {
   Dataset d(MiniDomain());
-  std::string error;
-  EXPECT_FALSE(LoadCsvDataset("/nonexistent.csv", MiniDomain(), &d, &error));
-  EXPECT_NE(error.find("cannot open"), std::string::npos);
+  const Status status = LoadCsvDataset("/nonexistent.csv", MiniDomain(), &d);
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("cannot open"), std::string::npos);
 }
 
 }  // namespace

@@ -35,31 +35,31 @@ std::string FreshDir(const std::string& name) {
 }
 
 UnionWorkload SmallWorkload() {
-  return ParseWorkloadOrDie(
+  return ParseWorkload(
       "domain sex=2 age=8\n"
       "product sex=identity age=prefix\n"
-      "product age=identity\n");
+      "product age=identity\n").value();
 }
 
 // --- Fingerprints ------------------------------------------------------------
 
 TEST(Fingerprint, ProductOrderInsensitive) {
-  UnionWorkload a = ParseWorkloadOrDie(
-      "domain x=4 y=3\nproduct x=identity\nproduct y=prefix\n");
-  UnionWorkload b = ParseWorkloadOrDie(
-      "domain x=4 y=3\nproduct y=prefix\nproduct x=identity\n");
+  UnionWorkload a = ParseWorkload(
+      "domain x=4 y=3\nproduct x=identity\nproduct y=prefix\n").value();
+  UnionWorkload b = ParseWorkload(
+      "domain x=4 y=3\nproduct y=prefix\nproduct x=identity\n").value();
   EXPECT_EQ(FingerprintWorkload(a).value, FingerprintWorkload(b).value);
 }
 
 TEST(Fingerprint, SensitiveToWeightsFactorsAndDomain) {
-  UnionWorkload base = ParseWorkloadOrDie(
-      "domain x=4 y=3\nproduct x=identity\n");
-  UnionWorkload reweighted = ParseWorkloadOrDie(
-      "domain x=4 y=3\nproduct weight=2.0 x=identity\n");
-  UnionWorkload other_block = ParseWorkloadOrDie(
-      "domain x=4 y=3\nproduct x=prefix\n");
-  UnionWorkload other_domain = ParseWorkloadOrDie(
-      "domain x=4 y=5\nproduct x=identity\n");
+  UnionWorkload base = ParseWorkload(
+      "domain x=4 y=3\nproduct x=identity\n").value();
+  UnionWorkload reweighted = ParseWorkload(
+      "domain x=4 y=3\nproduct weight=2.0 x=identity\n").value();
+  UnionWorkload other_block = ParseWorkload(
+      "domain x=4 y=3\nproduct x=prefix\n").value();
+  UnionWorkload other_domain = ParseWorkload(
+      "domain x=4 y=5\nproduct x=identity\n").value();
   const uint64_t fp = FingerprintWorkload(base).value;
   EXPECT_NE(fp, FingerprintWorkload(reweighted).value);
   EXPECT_NE(fp, FingerprintWorkload(other_block).value);
@@ -67,8 +67,8 @@ TEST(Fingerprint, SensitiveToWeightsFactorsAndDomain) {
 }
 
 TEST(Fingerprint, IgnoresAttributeNames) {
-  UnionWorkload a = ParseWorkloadOrDie("domain x=4\nproduct x=identity\n");
-  UnionWorkload b = ParseWorkloadOrDie("domain z=4\nproduct z=identity\n");
+  UnionWorkload a = ParseWorkload("domain x=4\nproduct x=identity\n").value();
+  UnionWorkload b = ParseWorkload("domain z=4\nproduct z=identity\n").value();
   EXPECT_EQ(FingerprintWorkload(a).value, FingerprintWorkload(b).value);
 }
 
@@ -343,7 +343,8 @@ TEST(StrategyCache, DiskTierReenablesAfterRecoveryProbe) {
     return std::make_shared<ExplicitStrategy>(PrefixBlock(3), "probe");
   };
 
-  ASSERT_TRUE(Failpoints::Activate("strategy_cache.put.io_error", "always"));
+  ASSERT_TRUE(
+      Failpoints::Activate("strategy_cache.put.io_error", "always").ok());
   for (int i = 0; i < StrategyCache::kDiskFailureLimit; ++i) {
     EXPECT_FALSE(
         cache.Put(Fingerprint{static_cast<uint64_t>(i + 1)}, strategy())
@@ -371,7 +372,8 @@ TEST(StrategyCache, DiskTierReenablesAfterRecoveryProbe) {
   EXPECT_TRUE(std::filesystem::exists(cache.DiskPath(Fingerprint{999})));
 
   // And a failed probe keeps the degraded contract: Put returns OK.
-  ASSERT_TRUE(Failpoints::Activate("strategy_cache.put.io_error", "always"));
+  ASSERT_TRUE(
+      Failpoints::Activate("strategy_cache.put.io_error", "always").ok());
   for (int i = 0; i < StrategyCache::kDiskFailureLimit; ++i) {
     cache.Put(Fingerprint{static_cast<uint64_t>(200 + i)}, strategy());
   }
@@ -391,25 +393,25 @@ TEST(StrategyCache, DiskTierReenablesAfterRecoveryProbe) {
 
 TEST(Accountant, SequentialCompositionLedger) {
   BudgetAccountant accountant(1.0);
-  EXPECT_TRUE(accountant.TryCharge("census", 0.25));
-  EXPECT_TRUE(accountant.TryCharge("census", 0.5));
+  EXPECT_TRUE(accountant.Charge("census", PrivacyCharge::Laplace(0.25)).ok());
+  EXPECT_TRUE(accountant.Charge("census", PrivacyCharge::Laplace(0.5)).ok());
   EXPECT_NEAR(accountant.Spent("census"), 0.75, 1e-15);
   EXPECT_NEAR(accountant.Remaining("census"), 0.25, 1e-15);
   // Over budget: refused, ledger unchanged.
-  EXPECT_FALSE(accountant.TryCharge("census", 0.5));
+  EXPECT_FALSE(accountant.Charge("census", PrivacyCharge::Laplace(0.5)).ok());
   EXPECT_NEAR(accountant.Spent("census"), 0.75, 1e-15);
   EXPECT_EQ(accountant.NumCharges("census"), 2);
   // Exactly exhausting the budget is allowed.
-  EXPECT_TRUE(accountant.TryCharge("census", 0.25));
-  EXPECT_FALSE(accountant.TryCharge("census", 1e-9));
+  EXPECT_TRUE(accountant.Charge("census", PrivacyCharge::Laplace(0.25)).ok());
+  EXPECT_FALSE(accountant.Charge("census", PrivacyCharge::Laplace(1e-9)).ok());
   EXPECT_EQ(accountant.Remaining("census"), 0.0);
 }
 
 TEST(Accountant, DatasetsAreIndependent) {
   BudgetAccountant accountant(0.5);
-  EXPECT_TRUE(accountant.TryCharge("a", 0.5));
-  EXPECT_FALSE(accountant.TryCharge("a", 0.1));
-  EXPECT_TRUE(accountant.TryCharge("b", 0.5));
+  EXPECT_TRUE(accountant.Charge("a", PrivacyCharge::Laplace(0.5)).ok());
+  EXPECT_FALSE(accountant.Charge("a", PrivacyCharge::Laplace(0.1)).ok());
+  EXPECT_TRUE(accountant.Charge("b", PrivacyCharge::Laplace(0.5)).ok());
   EXPECT_EQ(accountant.Spent("unknown"), 0.0);
   EXPECT_NEAR(accountant.Remaining("unknown"), 0.5, 1e-15);
 }
@@ -419,9 +421,10 @@ TEST(Accountant, ToleratesFloatingPointSplits) {
   // accumulation rounding.
   BudgetAccountant accountant(1.0);
   for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(accountant.TryCharge("d", 0.1)) << "slice " << i;
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(0.1)).ok())
+        << "slice " << i;
   }
-  EXPECT_FALSE(accountant.TryCharge("d", 0.01));
+  EXPECT_FALSE(accountant.Charge("d", PrivacyCharge::Laplace(0.01)).ok());
 }
 
 TEST(Accountant, LedgerSurvivesRestart) {
@@ -430,8 +433,9 @@ TEST(Accountant, LedgerSurvivesRestart) {
       std::filesystem::path(path).parent_path());
   {
     BudgetAccountant accountant(1.0, path);
-    EXPECT_TRUE(accountant.TryCharge("census data.csv", 0.6));
-    EXPECT_TRUE(accountant.TryCharge("other", 0.25));
+    EXPECT_TRUE(
+        accountant.Charge("census data.csv", PrivacyCharge::Laplace(0.6)).ok());
+    EXPECT_TRUE(accountant.Charge("other", PrivacyCharge::Laplace(0.25)).ok());
   }
   // A fresh accountant (new process in real life) replays the ledger: the
   // ceiling holds across restarts instead of resetting to the full budget.
@@ -440,8 +444,10 @@ TEST(Accountant, LedgerSurvivesRestart) {
     BudgetAccountant restarted(1.0, path);
     EXPECT_NEAR(restarted.Spent("census data.csv"), 0.6, 1e-15);
     EXPECT_EQ(restarted.NumCharges("census data.csv"), 1);
-    EXPECT_FALSE(restarted.TryCharge("census data.csv", 0.5));
-    EXPECT_TRUE(restarted.TryCharge("census data.csv", 0.4));
+    EXPECT_FALSE(
+        restarted.Charge("census data.csv", PrivacyCharge::Laplace(0.5)).ok());
+    EXPECT_TRUE(
+        restarted.Charge("census data.csv", PrivacyCharge::Laplace(0.4)).ok());
   }
   BudgetAccountant third(1.0, path);
   EXPECT_EQ(third.Remaining("census data.csv"), 0.0);
@@ -461,12 +467,16 @@ TEST(AccountantDeath, DiesOnCorruptLedger) {
 
 TEST(AccountantDeath, RejectsInvalidEpsilon) {
   BudgetAccountant accountant(1.0);
-  EXPECT_DEATH(accountant.TryCharge("d", 0.0), "positive and finite");
-  EXPECT_DEATH(accountant.TryCharge("d", -0.5), "positive and finite");
-  EXPECT_DEATH(accountant.TryCharge("d", std::nan("")), "positive and finite");
-  EXPECT_DEATH(
-      accountant.TryCharge("d", std::numeric_limits<double>::infinity()),
-      "positive and finite");
+  // Built field by field, bypassing PrivacyCharge::Laplace's own check: the
+  // accountant must refuse a malformed charge however it was constructed.
+  for (double epsilon : {0.0, -0.5, std::nan(""),
+                         std::numeric_limits<double>::infinity()}) {
+    PrivacyCharge charge;
+    charge.mechanism = Mechanism::kLaplace;
+    charge.epsilon = epsilon;
+    EXPECT_DEATH(accountant.Charge("d", charge), "positive and finite")
+        << epsilon;
+  }
 }
 
 TEST(AccountantDeath, RejectsInvalidTotal) {
@@ -486,12 +496,14 @@ TEST(Accountant, PerDatasetCeilingOverrides) {
   EXPECT_NEAR(accountant.Remaining("sensitive"), 0.4, 1e-15);
   // A charge the default ceiling would admit is refused on the overridden
   // dataset, admitted elsewhere; the refusal records nothing.
-  EXPECT_FALSE(accountant.TryCharge("sensitive", 0.6));
+  EXPECT_FALSE(
+      accountant.Charge("sensitive", PrivacyCharge::Laplace(0.6)).ok());
   EXPECT_EQ(accountant.Spent("sensitive"), 0.0);
-  EXPECT_TRUE(accountant.TryCharge("other", 0.6));
+  EXPECT_TRUE(accountant.Charge("other", PrivacyCharge::Laplace(0.6)).ok());
   // Exactly exhausting the override is allowed; one more dust charge isn't.
-  EXPECT_TRUE(accountant.TryCharge("sensitive", 0.4));
-  EXPECT_FALSE(accountant.TryCharge("sensitive", 1e-9));
+  EXPECT_TRUE(accountant.Charge("sensitive", PrivacyCharge::Laplace(0.4)).ok());
+  EXPECT_FALSE(
+      accountant.Charge("sensitive", PrivacyCharge::Laplace(1e-9)).ok());
   EXPECT_EQ(accountant.Remaining("sensitive"), 0.0);
   EXPECT_NEAR(accountant.Remaining("other"), 0.4, 1e-15);
 }
@@ -506,12 +518,12 @@ TEST(Accountant, PerDatasetCeilingSurvivesLedgerReplay) {
   options.ledger_path = path;
   {
     BudgetAccountant accountant(options);
-    EXPECT_TRUE(accountant.TryCharge("tight", 0.3));
+    EXPECT_TRUE(accountant.Charge("tight", PrivacyCharge::Laplace(0.3)).ok());
   }
   BudgetAccountant restarted(options);
   EXPECT_NEAR(restarted.Spent("tight"), 0.3, 1e-15);
-  EXPECT_FALSE(restarted.TryCharge("tight", 0.1));
-  EXPECT_TRUE(restarted.TryCharge("loose", 0.9));
+  EXPECT_FALSE(restarted.Charge("tight", PrivacyCharge::Laplace(0.1)).ok());
+  EXPECT_TRUE(restarted.Charge("loose", PrivacyCharge::Laplace(0.9)).ok());
 }
 
 TEST(AccountantDeath, RejectsInvalidDatasetCeiling) {
@@ -539,21 +551,21 @@ TEST(AccountantZCdp, ComposesRhoAdditively) {
   const double total_rho = 0.5;
   BudgetAccountant accountant(ZCdpOptions(total_rho));
   for (int i = 0; i < k; ++i) {
-    EXPECT_TRUE(accountant.TryCharge(
-        "census", PrivacyCharge::Gaussian(total_rho / k)))
+    EXPECT_TRUE(accountant.Charge(
+        "census", PrivacyCharge::Gaussian(total_rho / k)).ok())
         << "charge " << i;
   }
   EXPECT_NEAR(accountant.Spent("census"), total_rho, 1e-12);
-  std::string why;
-  EXPECT_FALSE(accountant.TryCharge(
-      "census", PrivacyCharge::Gaussian(total_rho / k), &why));
-  EXPECT_NE(why.find("budget exceeded"), std::string::npos);
+  const Status refused =
+      accountant.Charge("census", PrivacyCharge::Gaussian(total_rho / k));
+  EXPECT_EQ(refused.code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.message().find("budget exceeded"), std::string::npos);
   EXPECT_EQ(accountant.NumCharges("census"), k);
 }
 
 TEST(AccountantZCdp, ReportsBunSteinkeEpsilon) {
   BudgetAccountant accountant(ZCdpOptions(1.0));
-  EXPECT_TRUE(accountant.TryCharge("d", PrivacyCharge::Gaussian(0.25)));
+  EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Gaussian(0.25)).ok());
   // eps = rho + 2 sqrt(rho ln(1/delta)), the Bun-Steinke closed form.
   const double expected = 0.25 + 2.0 * std::sqrt(0.25 * std::log(1e6));
   EXPECT_NEAR(accountant.ReportedEpsilon("d"), expected, 1e-12);
@@ -565,9 +577,9 @@ TEST(AccountantZCdp, LaplaceChargesCostEpsilonSquaredOverTwo) {
   // Pure eps-DP => (eps^2/2)-zCDP: a Laplace measurement is accountable in
   // the zCDP regime, at quadratic cost.
   BudgetAccountant accountant(ZCdpOptions(1.0));
-  EXPECT_TRUE(accountant.TryCharge("d", PrivacyCharge::Laplace(1.0)));
+  EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(1.0)).ok());
   EXPECT_NEAR(accountant.Spent("d"), 0.5, 1e-15);
-  EXPECT_TRUE(accountant.TryCharge("d", 0.5));  // Shorthand overload.
+  EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Laplace(0.5)).ok());
   EXPECT_NEAR(accountant.Spent("d"), 0.625, 1e-15);
 }
 
@@ -581,10 +593,10 @@ TEST(AccountantZCdp, CeilingDerivedFromEpsilonDelta) {
   BudgetAccountant accountant(options);
   EXPECT_NEAR(accountant.TotalBudget(), RhoFromEpsilonDelta(2.0, 1e-9),
               1e-15);
-  EXPECT_TRUE(accountant.TryCharge(
-      "d", PrivacyCharge::Gaussian(accountant.TotalBudget())));
+  EXPECT_TRUE(accountant.Charge(
+      "d", PrivacyCharge::Gaussian(accountant.TotalBudget())).ok());
   EXPECT_NEAR(accountant.ReportedEpsilon("d"), 2.0, 1e-9);
-  EXPECT_FALSE(accountant.TryCharge("d", PrivacyCharge::Gaussian(1e-6)));
+  EXPECT_FALSE(accountant.Charge("d", PrivacyCharge::Gaussian(1e-6)).ok());
 }
 
 TEST(AccountantZCdp, PureRegimeRefusesGaussianCharges) {
@@ -592,9 +604,9 @@ TEST(AccountantZCdp, PureRegimeRefusesGaussianCharges) {
   // refuse (softly — a serve-mode request must not abort the process), not
   // approximate.
   BudgetAccountant accountant(1.0);
-  std::string why;
-  EXPECT_FALSE(accountant.TryCharge("d", PrivacyCharge::Gaussian(0.1), &why));
-  EXPECT_NE(why.find("zcdp"), std::string::npos);
+  const Status refused = accountant.Charge("d", PrivacyCharge::Gaussian(0.1));
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("zcdp"), std::string::npos);
   EXPECT_EQ(accountant.Spent("d"), 0.0);
   EXPECT_EQ(accountant.NumCharges("d"), 0);
 }
@@ -618,10 +630,10 @@ TEST(AccountantLedger, V2RecordsMechanismAndRoundTrips) {
   const std::string path = LedgerPathIn("ledger_v2");
   {
     BudgetAccountant accountant(ZCdpOptions(1.0, path));
-    EXPECT_TRUE(accountant.TryCharge("census data.csv",
-                                     PrivacyCharge::Gaussian(0.25)));
-    EXPECT_TRUE(accountant.TryCharge("census data.csv",
-                                     PrivacyCharge::Laplace(0.5)));
+    EXPECT_TRUE(accountant.Charge("census data.csv",
+                                     PrivacyCharge::Gaussian(0.25)).ok());
+    EXPECT_TRUE(accountant.Charge("census data.csv",
+                                     PrivacyCharge::Laplace(0.5)).ok());
   }
   const std::string content = ReadFile(path);
   EXPECT_EQ(content.rfind("hdmm-budget-ledger v2\n", 0), 0u) << content;
@@ -650,8 +662,10 @@ TEST(AccountantLedger, V1LedgerReplaysAndMigratesToV2) {
   EXPECT_NE(content.find("laplace 0.25 0 census data.csv"),
             std::string::npos)
       << content;
-  EXPECT_TRUE(accountant.TryCharge("census data.csv", 0.25));
-  EXPECT_FALSE(accountant.TryCharge("census data.csv", 0.01));
+  EXPECT_TRUE(
+      accountant.Charge("census data.csv", PrivacyCharge::Laplace(0.25)).ok());
+  EXPECT_FALSE(
+      accountant.Charge("census data.csv", PrivacyCharge::Laplace(0.01)).ok());
 }
 
 TEST(AccountantLedger, TruncatedFinalLineIsCrashReplaySafe) {
@@ -670,8 +684,8 @@ TEST(AccountantLedger, TruncatedFinalLineIsCrashReplaySafe) {
     BudgetAccountant accountant(ZCdpOptions(1.0, path));
     EXPECT_NEAR(accountant.Spent("census.csv"), 0.03125, 1e-15);  // eps^2/2.
     EXPECT_EQ(accountant.NumCharges("census.csv"), 1);
-    EXPECT_TRUE(accountant.TryCharge("census.csv",
-                                     PrivacyCharge::Gaussian(0.25)));
+    EXPECT_TRUE(accountant.Charge("census.csv",
+                                     PrivacyCharge::Gaussian(0.25)).ok());
     const std::string content = ReadFile(path);
     EXPECT_EQ(content.find("1e-"), std::string::npos) << content;
   }
@@ -701,7 +715,7 @@ TEST(AccountantLedgerDeath, GaussianHistoryNeedsZCdpRegime) {
   const std::string path = LedgerPathIn("ledger_regime_mismatch");
   {
     BudgetAccountant accountant(ZCdpOptions(1.0, path));
-    EXPECT_TRUE(accountant.TryCharge("d", PrivacyCharge::Gaussian(0.25)));
+    EXPECT_TRUE(accountant.Charge("d", PrivacyCharge::Gaussian(0.25)).ok());
   }
   EXPECT_DEATH(BudgetAccountant(1.0, path), "zcdp");
 }
@@ -712,7 +726,7 @@ TEST(AccountantLedgerDeath, FlockExcludesSecondAccountant) {
   // flock makes the second one die instead of double-spending.
   const std::string path = LedgerPathIn("ledger_flock");
   BudgetAccountant first(1.0, path);
-  EXPECT_TRUE(first.TryCharge("census", 0.6));
+  EXPECT_TRUE(first.Charge("census", PrivacyCharge::Laplace(0.6)).ok());
   // Short lock timeout: the lock is held for the whole test, so the default
   // backoff window would only slow the death down.
   BudgetAccountantOptions contended;
@@ -721,19 +735,19 @@ TEST(AccountantLedgerDeath, FlockExcludesSecondAccountant) {
   contended.lock_timeout_ms = 50;
   EXPECT_DEATH(BudgetAccountant{contended}, "locked by another");
   // The budget stays jointly bounded: only the lock holder can spend.
-  EXPECT_TRUE(first.TryCharge("census", 0.4));
-  EXPECT_FALSE(first.TryCharge("census", 0.1));
+  EXPECT_TRUE(first.Charge("census", PrivacyCharge::Laplace(0.4)).ok());
+  EXPECT_FALSE(first.Charge("census", PrivacyCharge::Laplace(0.1)).ok());
 }
 
 TEST(AccountantLedger, FlockReleasedOnDestruction) {
   const std::string path = LedgerPathIn("ledger_flock_release");
   {
     BudgetAccountant first(1.0, path);
-    EXPECT_TRUE(first.TryCharge("census", 0.6));
+    EXPECT_TRUE(first.Charge("census", PrivacyCharge::Laplace(0.6)).ok());
   }
   BudgetAccountant second(1.0, path);  // Lock released: no death.
   EXPECT_NEAR(second.Spent("census"), 0.6, 1e-15);
-  EXPECT_FALSE(second.TryCharge("census", 0.5));
+  EXPECT_FALSE(second.Charge("census", PrivacyCharge::Laplace(0.5)).ok());
 }
 
 // --- Laplace measurement validation ------------------------------------------
@@ -756,49 +770,54 @@ TEST(MeasureDeath, RejectsNonFiniteEpsilonAndSensitivity) {
 
 TEST(Queries, ParseQueryLineForms) {
   Domain d({"sex", "age"}, {2, 8});
-  BoxQuery q;
-  std::string error;
 
-  ASSERT_TRUE(ParseQueryLine("point sex=1 age=3", d, &q, &error)) << error;
-  EXPECT_EQ(q.lo, (std::vector<int64_t>{1, 3}));
-  EXPECT_EQ(q.hi, (std::vector<int64_t>{1, 3}));
+  StatusOr<BoxQuery> q = ParseQueryLine("point sex=1 age=3", d);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->lo, (std::vector<int64_t>{1, 3}));
+  EXPECT_EQ(q->hi, (std::vector<int64_t>{1, 3}));
 
-  ASSERT_TRUE(ParseQueryLine("marginal sex=0", d, &q, &error)) << error;
-  EXPECT_EQ(q.lo, (std::vector<int64_t>{0, 0}));
-  EXPECT_EQ(q.hi, (std::vector<int64_t>{0, 7}));
+  q = ParseQueryLine("marginal sex=0", d);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->lo, (std::vector<int64_t>{0, 0}));
+  EXPECT_EQ(q->hi, (std::vector<int64_t>{0, 7}));
 
-  ASSERT_TRUE(ParseQueryLine("range age=2:5", d, &q, &error)) << error;
-  EXPECT_EQ(q.lo, (std::vector<int64_t>{0, 2}));
-  EXPECT_EQ(q.hi, (std::vector<int64_t>{1, 5}));
+  q = ParseQueryLine("range age=2:5", d);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->lo, (std::vector<int64_t>{0, 2}));
+  EXPECT_EQ(q->hi, (std::vector<int64_t>{1, 5}));
 
   // Unnamed domains accept zero-based attribute indices...
   Domain unnamed({2, 8});
-  ASSERT_TRUE(ParseQueryLine("range 1=2:5", unnamed, &q, &error)) << error;
-  EXPECT_EQ(q.lo, (std::vector<int64_t>{0, 2}));
+  q = ParseQueryLine("range 1=2:5", unnamed);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(q->lo, (std::vector<int64_t>{0, 2}));
   // ...but named schemas reject bare indices: positions silently shift when
   // the schema changes, and a wrong answer is worse than a rejected query.
-  EXPECT_FALSE(ParseQueryLine("range 1=2:5", d, &q, &error));
-  EXPECT_NE(error.find("unknown attribute"), std::string::npos);
+  q = ParseQueryLine("range 1=2:5", d);
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(q.status().message().find("unknown attribute"), std::string::npos);
 }
 
 TEST(Queries, ParseQueryLineRejections) {
   Domain d({"sex", "age"}, {2, 8});
-  BoxQuery q;
-  std::string error;
-  EXPECT_FALSE(ParseQueryLine("point sex=1", d, &q, &error));
-  EXPECT_NE(error.find("every attribute"), std::string::npos);
-  EXPECT_FALSE(ParseQueryLine("marginal height=1", d, &q, &error));
-  EXPECT_NE(error.find("unknown attribute"), std::string::npos);
-  EXPECT_FALSE(ParseQueryLine("marginal age=9", d, &q, &error));
-  EXPECT_NE(error.find("outside"), std::string::npos);
-  EXPECT_FALSE(ParseQueryLine("marginal age=2:5", d, &q, &error));
-  EXPECT_NE(error.find("single value"), std::string::npos);
-  EXPECT_FALSE(ParseQueryLine("sum age=1", d, &q, &error));
-  EXPECT_NE(error.find("unknown query kind"), std::string::npos);
-  EXPECT_FALSE(ParseQueryLine("marginal age=1 age=2", d, &q, &error));
-  EXPECT_NE(error.find("twice"), std::string::npos);
-  EXPECT_FALSE(ParseQueryLine("marginal", d, &q, &error));
-  EXPECT_NE(error.find("binds no attributes"), std::string::npos);
+  auto rejection = [&d](const char* line) {
+    const StatusOr<BoxQuery> q = ParseQueryLine(line, d);
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument) << line;
+    return q.status().message();
+  };
+  EXPECT_NE(rejection("point sex=1").find("every attribute"),
+            std::string::npos);
+  EXPECT_NE(rejection("marginal height=1").find("unknown attribute"),
+            std::string::npos);
+  EXPECT_NE(rejection("marginal age=9").find("outside"), std::string::npos);
+  EXPECT_NE(rejection("marginal age=2:5").find("single value"),
+            std::string::npos);
+  EXPECT_NE(rejection("sum age=1").find("unknown query kind"),
+            std::string::npos);
+  EXPECT_NE(rejection("marginal age=1 age=2").find("twice"),
+            std::string::npos);
+  EXPECT_NE(rejection("marginal").find("binds no attributes"),
+            std::string::npos);
 }
 
 // Brute-force box sum for cross-checking the summed-area table.
@@ -820,7 +839,7 @@ TEST(Session, AnswersMatchBruteForce) {
   Rng rng(23);
   Vector x(static_cast<size_t>(d.TotalSize()));
   for (double& v : x) v = rng.Uniform(-1.0, 3.0);
-  MeasurementSession session(d, x, 1.0, nullptr);
+  MeasurementSession session(d, x, PrivacyCharge::Laplace(1.0), nullptr);
 
   Rng qrng(29);
   for (int trial = 0; trial < 200; ++trial) {
@@ -843,7 +862,7 @@ TEST(Session, BatchMatchesSingleAnswers) {
   Rng rng(31);
   Vector x(static_cast<size_t>(d.TotalSize()));
   for (double& v : x) v = rng.Uniform(0.0, 10.0);
-  MeasurementSession session(d, x, 0.5, nullptr);
+  MeasurementSession session(d, x, PrivacyCharge::Laplace(0.5), nullptr);
 
   std::vector<BoxQuery> queries;
   for (int64_t a = 0; a < 4; ++a) {
@@ -874,18 +893,18 @@ TEST(Engine, PlanCachesAcrossCallsAndRestarts) {
   UnionWorkload w = SmallWorkload();
 
   Engine engine(FastEngineOptions(dir));
-  PlanResult cold = engine.Plan(w);
+  PlanResult cold = engine.PlanOr(w).value();
   ASSERT_NE(cold.strategy, nullptr);
   EXPECT_EQ(cold.source, PlanSource::kOptimized);
 
-  PlanResult warm = engine.Plan(w);
+  PlanResult warm = engine.PlanOr(w).value();
   EXPECT_EQ(warm.source, PlanSource::kMemoryCache);
   EXPECT_EQ(warm.strategy.get(), cold.strategy.get());
   EXPECT_EQ(warm.fingerprint.value, cold.fingerprint.value);
 
   // A second engine over the same directory plans from disk.
   Engine restarted(FastEngineOptions(dir));
-  PlanResult from_disk = restarted.Plan(w);
+  PlanResult from_disk = restarted.PlanOr(w).value();
   EXPECT_EQ(from_disk.source, PlanSource::kDiskCache);
   EXPECT_EQ(SerializeStrategy(*from_disk.strategy),
             SerializeStrategy(*cold.strategy));
@@ -901,12 +920,12 @@ TEST(Engine, PlanTreatsWrongDomainCacheEntryAsMiss) {
   const Fingerprint fp = FingerprintPlan(w, options.optimizer);
   engine.cache().Put(fp, std::make_shared<ExplicitStrategy>(
                              PrefixBlock(3), "foreign"));  // Domain 3 != 16.
-  PlanResult plan = engine.Plan(w);
+  PlanResult plan = engine.PlanOr(w).value();
   ASSERT_NE(plan.strategy, nullptr);
   EXPECT_EQ(plan.source, PlanSource::kOptimized);
   EXPECT_EQ(plan.strategy->DomainSize(), w.DomainSize());
   // The bad entry was overwritten: the next plan is a healthy cache hit.
-  PlanResult again = engine.Plan(w);
+  PlanResult again = engine.PlanOr(w).value();
   EXPECT_EQ(again.source, PlanSource::kMemoryCache);
   EXPECT_EQ(again.strategy->DomainSize(), w.DomainSize());
 }
@@ -919,10 +938,10 @@ TEST(Engine, PlanSurfacesDiskWriteFailure) {
   { std::ofstream out(bogus); out << "occupied"; }
   options.cache.disk_dir = bogus + "/cache";
   Engine engine(options);
-  PlanResult plan = engine.Plan(SmallWorkload());
+  PlanResult plan = engine.PlanOr(SmallWorkload()).value();
   ASSERT_NE(plan.strategy, nullptr);  // The plan itself still serves.
   EXPECT_EQ(plan.source, PlanSource::kOptimized);
-  EXPECT_FALSE(plan.cache_error.empty());
+  EXPECT_EQ(plan.cache_error.code(), StatusCode::kIoError);
 }
 
 TEST(Engine, BudgetLedgerPersistsAcrossEngines) {
@@ -932,18 +951,21 @@ TEST(Engine, BudgetLedgerPersistsAcrossEngines) {
   options.ledger_path = dir + "/budget.ledger";
   UnionWorkload w = SmallWorkload();
   Vector x(static_cast<size_t>(w.DomainSize()), 1.0);
-  std::string error;
   {
     Engine engine(options);
     Rng rng(51);
-    ASSERT_NE(engine.Measure(w, "d.csv", x, 0.8, &rng, &error), nullptr)
-        << error;
+    const auto measured =
+        engine.MeasureOr(w, "d.csv", x, MeasureRequest::Laplace(0.8), &rng);
+    ASSERT_TRUE(measured.ok()) << measured.status().ToString();
   }
   Engine restarted(options);
   EXPECT_NEAR(restarted.accountant().Spent("d.csv"), 0.8, 1e-15);
   Rng rng(52);
-  EXPECT_EQ(restarted.Measure(w, "d.csv", x, 0.5, &rng, &error), nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  const auto refused =
+      restarted.MeasureOr(w, "d.csv", x, MeasureRequest::Laplace(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
 }
 
 TEST(Engine, MeasureChargesAndRefuses) {
@@ -952,18 +974,21 @@ TEST(Engine, MeasureChargesAndRefuses) {
   Vector x(static_cast<size_t>(w.DomainSize()), 2.0);
   Rng rng(41);
 
-  std::string error;
-  auto first = engine.Measure(w, "census", x, 0.7, &rng, &error);
-  ASSERT_NE(first, nullptr) << error;
+  auto first =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Laplace(0.7), &rng);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_NEAR(engine.accountant().Spent("census"), 0.7, 1e-15);
 
-  auto refused = engine.Measure(w, "census", x, 0.5, &rng, &error);
-  EXPECT_EQ(refused, nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  auto refused =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Laplace(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
   EXPECT_NEAR(engine.accountant().Spent("census"), 0.7, 1e-15);
 
-  auto second = engine.Measure(w, "census", x, 0.3, &rng, &error);
-  ASSERT_NE(second, nullptr) << error;
+  auto second =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Laplace(0.3), &rng);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(engine.accountant().Remaining("census"), 0.0);
 }
 
@@ -976,17 +1001,20 @@ TEST(Engine, PerDatasetBudgetOverridesGateMeasure) {
   Rng rng(43);
 
   // 0.6 fits the fleet-wide ceiling but not the override.
-  std::string error;
-  auto refused = engine.Measure(w, "sensitive.csv", x, 0.6, &rng, &error);
-  EXPECT_EQ(refused, nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  auto refused = engine.MeasureOr(w, "sensitive.csv", x,
+                                  MeasureRequest::Laplace(0.6), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
   EXPECT_EQ(engine.accountant().Spent("sensitive.csv"), 0.0);
 
-  auto allowed = engine.Measure(w, "other.csv", x, 0.6, &rng, &error);
-  ASSERT_NE(allowed, nullptr) << error;
+  auto allowed = engine.MeasureOr(w, "other.csv", x,
+                                  MeasureRequest::Laplace(0.6), &rng);
+  ASSERT_TRUE(allowed.ok()) << allowed.status().ToString();
 
-  auto under = engine.Measure(w, "sensitive.csv", x, 0.4, &rng, &error);
-  ASSERT_NE(under, nullptr) << error;
+  auto under = engine.MeasureOr(w, "sensitive.csv", x,
+                                MeasureRequest::Laplace(0.4), &rng);
+  ASSERT_TRUE(under.ok()) << under.status().ToString();
   EXPECT_EQ(engine.accountant().Remaining("sensitive.csv"), 0.0);
   EXPECT_NEAR(engine.accountant().Remaining("other.csv"), 0.4, 1e-15);
 }
@@ -1018,20 +1046,13 @@ TEST(Engine, SessionAnswersApproximateTruthAtHighEpsilon) {
   Vector x(static_cast<size_t>(w.DomainSize()));
   for (double& v : x) v = std::floor(rng.Uniform(0.0, 20.0));
 
-  std::string error;
-  auto session = engine.Measure(w, "d", x, 1e6, &rng, &error);
-  ASSERT_NE(session, nullptr) << error;
+  auto session =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Laplace(1e6), &rng).value();
 
-  std::vector<BoxQuery> queries;
-  std::string parse_error;
-  BoxQuery q;
-  ASSERT_TRUE(ParseQueryLine("point sex=1 age=3", w.domain(), &q,
-                             &parse_error));
-  queries.push_back(q);
-  ASSERT_TRUE(ParseQueryLine("marginal sex=0", w.domain(), &q, &parse_error));
-  queries.push_back(q);
-  ASSERT_TRUE(ParseQueryLine("range age=2:6", w.domain(), &q, &parse_error));
-  queries.push_back(q);
+  const std::vector<BoxQuery> queries = {
+      ParseQueryLine("point sex=1 age=3", w.domain()).value(),
+      ParseQueryLine("marginal sex=0", w.domain()).value(),
+      ParseQueryLine("range age=2:6", w.domain()).value()};
 
   const Vector answers = session->AnswerBatch(queries);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -1043,13 +1064,13 @@ TEST(Engine, SessionAnswersApproximateTruthAtHighEpsilon) {
 TEST(Engine, ExplicitStrategyReconstructionReusesCholesky) {
   // An explicit-strategy plan goes through the engine's normal-equations
   // path; answers must match the strategy's own pinv reconstruction.
-  UnionWorkload w = ParseWorkloadOrDie("domain x=6\nproduct x=prefix\n");
+  UnionWorkload w = ParseWorkload("domain x=6\nproduct x=prefix\n").value();
   EngineOptions options = FastEngineOptions();
   options.total_epsilon = 4e6;
   Engine engine(options);
 
   // Seed the cache with an explicit strategy under this plan's fingerprint
-  // so Plan() returns it.
+  // so PlanOr() returns it.
   const Fingerprint fp = FingerprintPlan(w, options.optimizer);
   auto explicit_strategy =
       std::make_shared<ExplicitStrategy>(PrefixBlock(6), "explicit-prefix");
@@ -1057,11 +1078,10 @@ TEST(Engine, ExplicitStrategyReconstructionReusesCholesky) {
 
   Rng rng(47);
   Vector x{5.0, 3.0, 8.0, 1.0, 0.0, 2.0};
-  std::string error;
-  auto s1 = engine.Measure(w, "d", x, 1e6, &rng, &error);
-  ASSERT_NE(s1, nullptr) << error;
-  auto s2 = engine.Measure(w, "d", x, 1e6, &rng, &error);  // Reuses factor.
-  ASSERT_NE(s2, nullptr) << error;
+  auto s1 =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Laplace(1e6), &rng).value();
+  auto s2 =  // Reuses the factor.
+      engine.MeasureOr(w, "d", x, MeasureRequest::Laplace(1e6), &rng).value();
   for (size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(s1->XHat()[i], x[i], 1e-3);
     EXPECT_NEAR(s2->XHat()[i], x[i], 1e-3);
@@ -1086,23 +1106,23 @@ TEST(Engine, GaussianMeasureChargesRhoAndRefusesOverBudget) {
   Vector x(static_cast<size_t>(w.DomainSize()), 2.0);
   Rng rng(61);
 
-  std::string error;
-  auto first = engine.Measure(w, "census", x, MeasureRequest::Gaussian(0.7),
-                              &rng, &error);
-  ASSERT_NE(first, nullptr) << error;
+  auto first =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Gaussian(0.7), &rng)
+          .value();
   EXPECT_EQ(first->mechanism(), Mechanism::kGaussian);
   EXPECT_EQ(first->rho(), 0.7);
   EXPECT_NEAR(engine.accountant().Spent("census"), 0.7, 1e-15);
 
-  auto refused = engine.Measure(w, "census", x, MeasureRequest::Gaussian(0.5),
-                                &rng, &error);
-  EXPECT_EQ(refused, nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  auto refused =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Gaussian(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
   EXPECT_NEAR(engine.accountant().Spent("census"), 0.7, 1e-15);
 
-  auto second = engine.Measure(w, "census", x, MeasureRequest::Gaussian(0.3),
-                               &rng, &error);
-  ASSERT_NE(second, nullptr) << error;
+  auto second =
+      engine.MeasureOr(w, "census", x, MeasureRequest::Gaussian(0.3), &rng);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
   EXPECT_EQ(engine.accountant().Remaining("census"), 0.0);
 }
 
@@ -1111,11 +1131,10 @@ TEST(Engine, GaussianMeasureRefusedInPureRegimeWithoutNoise) {
   Engine engine(FastEngineOptions());  // Pure-dp regime.
   Vector x(static_cast<size_t>(w.DomainSize()), 1.0);
   Rng rng(62);
-  std::string error;
-  auto refused = engine.Measure(w, "d", x, MeasureRequest::Gaussian(0.5),
-                                &rng, &error);
-  EXPECT_EQ(refused, nullptr);
-  EXPECT_NE(error.find("zcdp"), std::string::npos);
+  auto refused =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Gaussian(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.status().message().find("zcdp"), std::string::npos);
   EXPECT_EQ(engine.accountant().Spent("d"), 0.0);
 }
 
@@ -1128,21 +1147,14 @@ TEST(Engine, GaussianSessionAnswersApproximateTruthAtHighRho) {
   Vector x(static_cast<size_t>(w.DomainSize()));
   for (double& v : x) v = std::floor(rng.Uniform(0.0, 20.0));
 
-  std::string error;
-  auto session = engine.Measure(w, "d", x, MeasureRequest::Gaussian(1e12),
-                                &rng, &error);
-  ASSERT_NE(session, nullptr) << error;
+  auto session =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Gaussian(1e12), &rng)
+          .value();
 
-  std::vector<BoxQuery> queries;
-  std::string parse_error;
-  BoxQuery q;
-  ASSERT_TRUE(ParseQueryLine("point sex=1 age=3", w.domain(), &q,
-                             &parse_error));
-  queries.push_back(q);
-  ASSERT_TRUE(ParseQueryLine("marginal sex=0", w.domain(), &q, &parse_error));
-  queries.push_back(q);
-  ASSERT_TRUE(ParseQueryLine("range age=2:6", w.domain(), &q, &parse_error));
-  queries.push_back(q);
+  const std::vector<BoxQuery> queries = {
+      ParseQueryLine("point sex=1 age=3", w.domain()).value(),
+      ParseQueryLine("marginal sex=0", w.domain()).value(),
+      ParseQueryLine("range age=2:6", w.domain()).value()};
 
   const Vector answers = session->AnswerBatch(queries);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -1174,32 +1186,28 @@ TEST(Engine, MarginalsSessionServesMarginalsFromMeasuredTables) {
   Rng rng(67);
   Vector x(static_cast<size_t>(w.DomainSize()));
   for (double& v : x) v = std::floor(rng.Uniform(0.0, 30.0));
-  std::string error;
-  auto session = engine.Measure(w, "d", x, MeasureRequest::Gaussian(1e12),
-                                &rng, &error);
-  ASSERT_NE(session, nullptr) << error;
+  auto session =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Gaussian(1e12), &rng)
+          .value();
   ASSERT_EQ(session->marginal_tables().size(), 3u);
 
   // Marginal queries are covered by the measured tables and answered from
   // them directly — within noise tolerance of the truth.
-  std::string parse_error;
-  BoxQuery q;
-  ASSERT_TRUE(ParseQueryLine("marginal sex=1", w.domain(), &q, &parse_error));
+  BoxQuery q = ParseQueryLine("marginal sex=1", w.domain()).value();
   EXPECT_TRUE(session->CoveredByMarginal(q));
   EXPECT_NEAR(session->Answer(q), BruteForceBox(w.domain(), x, q), 0.05);
 
-  ASSERT_TRUE(ParseQueryLine("marginal age=5", w.domain(), &q, &parse_error));
+  q = ParseQueryLine("marginal age=5", w.domain()).value();
   EXPECT_TRUE(session->CoveredByMarginal(q));
   EXPECT_NEAR(session->Answer(q), BruteForceBox(w.domain(), x, q), 0.05);
 
-  ASSERT_TRUE(ParseQueryLine("point sex=0 age=2", w.domain(), &q,
-                             &parse_error));
+  q = ParseQueryLine("point sex=0 age=2", w.domain()).value();
   EXPECT_TRUE(session->CoveredByMarginal(q));
   EXPECT_NEAR(session->Answer(q), BruteForceBox(w.domain(), x, q), 0.05);
 
   // Range queries over a strict sub-range are covered too (the covering
   // table is summed over the sub-box).
-  ASSERT_TRUE(ParseQueryLine("range age=2:6", w.domain(), &q, &parse_error));
+  q = ParseQueryLine("range age=2:6", w.domain()).value();
   EXPECT_NEAR(session->Answer(q), BruteForceBox(w.domain(), x, q), 0.1);
 }
 
@@ -1216,19 +1224,16 @@ TEST(Engine, MarginalsSessionLazilyMaterializesXHat) {
   Rng rng(71);
   Vector x(static_cast<size_t>(w.DomainSize()));
   for (double& v : x) v = std::floor(rng.Uniform(0.0, 30.0));
-  std::string error;
-  auto session = engine.Measure(w, "d", x, MeasureRequest::Gaussian(1e12),
-                                &rng, &error);
-  ASSERT_NE(session, nullptr) << error;
+  auto session =
+      engine.MeasureOr(w, "d", x, MeasureRequest::Gaussian(1e12), &rng)
+          .value();
 
   const Vector& x_hat = session->XHat();
   ASSERT_EQ(x_hat.size(), x.size());
   for (size_t i = 0; i < x.size(); ++i) {
     EXPECT_NEAR(x_hat[i], x[i], 0.05) << "cell " << i;
   }
-  std::string parse_error;
-  BoxQuery q;
-  ASSERT_TRUE(ParseQueryLine("marginal age=3", w.domain(), &q, &parse_error));
+  const BoxQuery q = ParseQueryLine("marginal age=3", w.domain()).value();
   EXPECT_NEAR(session->Answer(q), BruteForceBox(w.domain(), x, q), 0.05);
 }
 
@@ -1247,14 +1252,11 @@ TEST(Session, UncoveredQueryFallsBackToSummedAreaTable) {
   MeasurementSession session(d, one_way, y, PrivacyCharge::Gaussian(1.0));
   ASSERT_EQ(session.marginal_tables().size(), 2u);
 
-  BoxQuery covered;
-  std::string parse_error;
-  ASSERT_TRUE(ParseQueryLine("marginal a=1", d, &covered, &parse_error));
+  const BoxQuery covered = ParseQueryLine("marginal a=1", d).value();
   EXPECT_TRUE(session.CoveredByMarginal(covered));
   EXPECT_NEAR(session.Answer(covered), 1.0 + 5.0 + 9.0, 1e-9);
 
-  BoxQuery uncovered;
-  ASSERT_TRUE(ParseQueryLine("point a=1 b=2", d, &uncovered, &parse_error));
+  const BoxQuery uncovered = ParseQueryLine("point a=1 b=2", d).value();
   EXPECT_FALSE(session.CoveredByMarginal(uncovered));
 }
 
@@ -1266,22 +1268,21 @@ TEST(Engine, ZCdpLedgerPersistsGaussianChargesAcrossEngines) {
   options.ledger_path = dir + "/budget.ledger";
   UnionWorkload w = SmallWorkload();
   Vector x(static_cast<size_t>(w.DomainSize()), 1.0);
-  std::string error;
   {
     Engine engine(options);
     Rng rng(73);
-    ASSERT_NE(engine.Measure(w, "d.csv", x, MeasureRequest::Gaussian(0.8),
-                             &rng, &error),
-              nullptr)
-        << error;
+    const auto measured =
+        engine.MeasureOr(w, "d.csv", x, MeasureRequest::Gaussian(0.8), &rng);
+    ASSERT_TRUE(measured.ok()) << measured.status().ToString();
   }
   Engine restarted(options);
   EXPECT_NEAR(restarted.accountant().Spent("d.csv"), 0.8, 1e-15);
   Rng rng(74);
-  EXPECT_EQ(restarted.Measure(w, "d.csv", x, MeasureRequest::Gaussian(0.5),
-                              &rng, &error),
-            nullptr);
-  EXPECT_NE(error.find("budget exceeded"), std::string::npos);
+  const auto refused =
+      restarted.MeasureOr(w, "d.csv", x, MeasureRequest::Gaussian(0.5), &rng);
+  EXPECT_EQ(refused.status().code(), StatusCode::kOverBudget);
+  EXPECT_NE(refused.status().message().find("budget exceeded"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST(StatusOr, MovesMoveOnlyValuesOut) {
 
 TEST(StatusOrDeath, ValueOnErrorDies) {
   StatusOr<int> bad = Status::IoError("gone");
-  EXPECT_DEATH(bad.value(), "value\\(\\) on an error status");
+  EXPECT_DEATH(bad.value(), "value\\(\\) on an error status: IO_ERROR: gone");
 }
 
 // ------------------------------------------------------------- failpoints --
@@ -92,14 +92,14 @@ TEST_F(FailpointTest, InactiveSitesNeverFire) {
 }
 
 TEST_F(FailpointTest, AlwaysMode) {
-  ASSERT_TRUE(Failpoints::Activate("test.p", "always"));
+  ASSERT_TRUE(Failpoints::Activate("test.p", "always").ok());
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
   EXPECT_EQ(Failpoints::HitCount("test.p"), 2u);
 }
 
 TEST_F(FailpointTest, NthModeFiresExactlyOnce) {
-  ASSERT_TRUE(Failpoints::Activate("test.p", "nth:3"));
+  ASSERT_TRUE(Failpoints::Activate("test.p", "nth:3").ok());
   EXPECT_FALSE(HDMM_FAILPOINT("test.p"));
   EXPECT_FALSE(HDMM_FAILPOINT("test.p"));
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
@@ -107,14 +107,14 @@ TEST_F(FailpointTest, NthModeFiresExactlyOnce) {
 }
 
 TEST_F(FailpointTest, TimesModeFiresAPrefix) {
-  ASSERT_TRUE(Failpoints::Activate("test.p", "times:2"));
+  ASSERT_TRUE(Failpoints::Activate("test.p", "times:2").ok());
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
   EXPECT_FALSE(HDMM_FAILPOINT("test.p"));
 }
 
 TEST_F(FailpointTest, AfterModeFiresASuffix) {
-  ASSERT_TRUE(Failpoints::Activate("test.p", "after:2"));
+  ASSERT_TRUE(Failpoints::Activate("test.p", "after:2").ok());
   EXPECT_FALSE(HDMM_FAILPOINT("test.p"));
   EXPECT_FALSE(HDMM_FAILPOINT("test.p"));
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
@@ -122,8 +122,8 @@ TEST_F(FailpointTest, AfterModeFiresASuffix) {
 }
 
 TEST_F(FailpointTest, ProbModeExtremesAreDeterministic) {
-  ASSERT_TRUE(Failpoints::Activate("test.never", "prob:0"));
-  ASSERT_TRUE(Failpoints::Activate("test.surely", "prob:1"));
+  ASSERT_TRUE(Failpoints::Activate("test.never", "prob:0").ok());
+  ASSERT_TRUE(Failpoints::Activate("test.surely", "prob:1").ok());
   for (int i = 0; i < 64; ++i) {
     EXPECT_FALSE(HDMM_FAILPOINT("test.never"));
     EXPECT_TRUE(HDMM_FAILPOINT("test.surely"));
@@ -131,22 +131,22 @@ TEST_F(FailpointTest, ProbModeExtremesAreDeterministic) {
 }
 
 TEST_F(FailpointTest, OffModeCountsHitsWithoutFiring) {
-  ASSERT_TRUE(Failpoints::Activate("test.p", "off"));
+  ASSERT_TRUE(Failpoints::Activate("test.p", "off").ok());
   EXPECT_FALSE(HDMM_FAILPOINT("test.p"));
   EXPECT_FALSE(HDMM_FAILPOINT("test.p"));
   EXPECT_EQ(Failpoints::HitCount("test.p"), 2u);
 }
 
 TEST_F(FailpointTest, ReactivationResetsHitCount) {
-  ASSERT_TRUE(Failpoints::Activate("test.p", "always"));
+  ASSERT_TRUE(Failpoints::Activate("test.p", "always").ok());
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
-  ASSERT_TRUE(Failpoints::Activate("test.p", "nth:1"));
+  ASSERT_TRUE(Failpoints::Activate("test.p", "nth:1").ok());
   EXPECT_EQ(Failpoints::HitCount("test.p"), 0u);
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
 }
 
 TEST_F(FailpointTest, DeactivateStopsFiring) {
-  ASSERT_TRUE(Failpoints::Activate("test.p", "always"));
+  ASSERT_TRUE(Failpoints::Activate("test.p", "always").ok());
   EXPECT_TRUE(HDMM_FAILPOINT("test.p"));
   Failpoints::Deactivate("test.p");
   EXPECT_FALSE(HDMM_FAILPOINT("test.p"));
@@ -154,32 +154,33 @@ TEST_F(FailpointTest, DeactivateStopsFiring) {
 }
 
 TEST_F(FailpointTest, SpecActivatesSeveralPointsAtOnce) {
-  ASSERT_TRUE(Failpoints::ActivateSpec("test.a=always,test.b=nth:2"));
+  ASSERT_TRUE(Failpoints::ActivateSpec("test.a=always,test.b=nth:2").ok());
   EXPECT_TRUE(HDMM_FAILPOINT("test.a"));
   EXPECT_FALSE(HDMM_FAILPOINT("test.b"));
   EXPECT_TRUE(HDMM_FAILPOINT("test.b"));
 }
 
 TEST_F(FailpointTest, MalformedSpecsAreRejectedWithAReason) {
-  std::string error;
-  EXPECT_FALSE(Failpoints::ActivateSpec("no-equals-sign", &error));
-  EXPECT_NE(error.find("name=mode"), std::string::npos);
-  EXPECT_FALSE(Failpoints::Activate("test.p", "nth", &error));
-  EXPECT_NE(error.find("wants :N"), std::string::npos);
-  EXPECT_FALSE(Failpoints::Activate("test.p", "nth:0", &error));
-  EXPECT_FALSE(Failpoints::Activate("test.p", "prob:1.5", &error));
-  EXPECT_FALSE(Failpoints::Activate("test.p", "warble", &error));
-  EXPECT_NE(error.find("unknown mode"), std::string::npos);
-  EXPECT_FALSE(Failpoints::Activate("", "always", &error));
+  const Status no_equals = Failpoints::ActivateSpec("no-equals-sign");
+  EXPECT_EQ(no_equals.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(no_equals.message().find("name=mode"), std::string::npos);
+  EXPECT_NE(Failpoints::Activate("test.p", "nth").message().find("wants :N"),
+            std::string::npos);
+  EXPECT_FALSE(Failpoints::Activate("test.p", "nth:0").ok());
+  EXPECT_FALSE(Failpoints::Activate("test.p", "prob:1.5").ok());
+  EXPECT_NE(
+      Failpoints::Activate("test.p", "warble").message().find("unknown mode"),
+      std::string::npos);
+  EXPECT_FALSE(Failpoints::Activate("", "always").ok());
   // None of the rejected specs left a point behind.
   EXPECT_FALSE(Failpoints::Enabled());
 }
 
 TEST_F(FailpointTest, EnabledTracksActivePointCount) {
   EXPECT_FALSE(Failpoints::Enabled());
-  ASSERT_TRUE(Failpoints::Activate("test.a", "off"));
+  ASSERT_TRUE(Failpoints::Activate("test.a", "off").ok());
   EXPECT_TRUE(Failpoints::Enabled());
-  ASSERT_TRUE(Failpoints::Activate("test.b", "off"));
+  ASSERT_TRUE(Failpoints::Activate("test.b", "off").ok());
   Failpoints::Deactivate("test.a");
   EXPECT_TRUE(Failpoints::Enabled());
   Failpoints::Deactivate("test.b");
@@ -187,7 +188,7 @@ TEST_F(FailpointTest, EnabledTracksActivePointCount) {
 }
 
 TEST_F(FailpointTest, CrashModeKillsWithSigkill) {
-  ASSERT_TRUE(Failpoints::Activate("test.die", "crash:2"));
+  ASSERT_TRUE(Failpoints::Activate("test.die", "crash:2").ok());
   EXPECT_FALSE(HDMM_FAILPOINT("test.die"));  // Hit 1 of crash:2 — survives.
   // gtest death tests report raw-signal deaths through ExitedWithCode's
   // negation; assert on the KilledBySignal predicate directly.

@@ -31,7 +31,7 @@ product weight=4 state=identitytotal
 )";
 
 TEST(Integration, SpecToMechanismEndToEnd) {
-  UnionWorkload w = ParseWorkloadOrDie(kSf1Mini);
+  UnionWorkload w = ParseWorkload(kSf1Mini).value();
   EXPECT_EQ(w.domain().NumAttributes(), 5);
   EXPECT_EQ(w.DomainSize(), 2 * 2 * 8 * 24 * 6);
 
@@ -67,8 +67,8 @@ TEST(Integration, SpecToMechanismEndToEnd) {
 TEST(Integration, SpecSerializeReoptimizeFixedPoint) {
   // Spec -> workload -> serialize -> parse -> identical Gram, identical
   // optimized error under the same seed.
-  UnionWorkload w1 = ParseWorkloadOrDie(kSf1Mini);
-  UnionWorkload w2 = ParseWorkloadOrDie(SerializeWorkload(w1));
+  UnionWorkload w1 = ParseWorkload(kSf1Mini).value();
+  UnionWorkload w2 = ParseWorkload(SerializeWorkload(w1)).value();
   ASSERT_EQ(w1.NumProducts(), w2.NumProducts());
   ASSERT_EQ(w1.TotalQueries(), w2.TotalQueries());
 
@@ -85,14 +85,14 @@ TEST(Integration, SqlAndSpecAgreeOnEquivalentWorkloads) {
   // The same logical workload authored through both front ends must produce
   // identical Gram matrices (and therefore identical optimization problems).
   Domain d({"sex", "age"}, {2, 12});
-  UnionWorkload from_sql = ParseSqlWorkloadOrDie(
+  UnionWorkload from_sql = ParseSqlWorkload(
       "SELECT sex, COUNT(*) FROM R GROUP BY sex;"
       "SELECT COUNT(*) FROM R WHERE age <= 4",
-      d);
-  UnionWorkload from_spec = ParseWorkloadOrDie(
+      d).value();
+  UnionWorkload from_spec = ParseWorkload(
       "domain sex=2 age=12\n"
       "product sex=identity\n"
-      "product age=range(0,4)\n");
+      "product age=range(0,4)\n").value();
   EXPECT_LT(from_sql.ExplicitGram().MaxAbsDiff(from_spec.ExplicitGram()),
             1e-12);
 }
@@ -100,20 +100,19 @@ TEST(Integration, SqlAndSpecAgreeOnEquivalentWorkloads) {
 TEST(Integration, OptimizeSaveLoadMeasureParity) {
   // The deployment loop: optimize, persist, reload, measure — reloaded
   // strategy must give bit-equal measurements under the same noise seed.
-  UnionWorkload w = ParseWorkloadOrDie(
+  UnionWorkload w = ParseWorkload(
       "domain a=16 b=4\n"
       "product a=allrange\n"
-      "product a=identity b=identity\n");
+      "product a=identity b=identity\n").value();
   HdmmOptions options;
   options.restarts = 1;
   options.seed = 7;
   HdmmResult sel = OptimizeStrategy(w, options);
 
   const std::string path = ::testing::TempDir() + "/integration.hdmm";
-  std::string error;
-  ASSERT_TRUE(SaveStrategyFile(path, *sel.strategy, &error)) << error;
-  auto loaded = LoadStrategyFile(path, &error);
-  ASSERT_NE(loaded, nullptr) << error;
+  const Status saved = SaveStrategyFile(path, *sel.strategy);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  auto loaded = LoadStrategyFile(path).value();
 
   Rng rng_data(1);
   Vector x = UniformDataVector(w.domain(), 5000, &rng_data);
@@ -129,15 +128,14 @@ TEST(Integration, CsvToAnswersMatchesDirectCounts) {
   // counts, closing the loop between the data layer and query semantics.
   Domain d({"sex", "age"}, {2, 6});
   Dataset dataset(d);
-  std::string error;
-  ASSERT_TRUE(ParseCsvDataset(
-      "sex,age\n0,1\n0,1\n1,5\n1,0\n0,3\n", d, &dataset, &error))
-      << error;
+  const Status parsed =
+      ParseCsvDataset("sex,age\n0,1\n0,1\n1,5\n1,0\n0,3\n", d, &dataset);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
 
-  UnionWorkload w = ParseSqlWorkloadOrDie(
+  UnionWorkload w = ParseSqlWorkload(
       "SELECT COUNT(*) FROM R WHERE sex = 0;"
       "SELECT age, COUNT(*) FROM R GROUP BY age",
-      d);
+      d).value();
   HdmmOptions options;
   options.restarts = 1;
   HdmmResult sel = OptimizeStrategy(w, options);
@@ -154,9 +152,9 @@ TEST(Integration, CsvToAnswersMatchesDirectCounts) {
 TEST(Integration, AlgebraExtensionOptimizesAtLargerDomain) {
   // SF1 -> SF1+ style growth through the algebra: the extended workload
   // still optimizes, with the domain scaled by the new attribute.
-  UnionWorkload national = ParseWorkloadOrDie(
+  UnionWorkload national = ParseWorkload(
       "domain sex=2 age=8\n"
-      "product sex=identity age=prefix\n");
+      "product sex=identity age=prefix\n").value();
   UnionWorkload with_state = AppendAttribute(
       national, VStack({TotalBlock(4), IdentityBlock(4)}), "state");
   EXPECT_EQ(with_state.DomainSize(), national.DomainSize() * 4);

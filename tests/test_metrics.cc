@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -91,16 +92,28 @@ TEST(Metrics, ConcurrentRecordingMergesExactly) {
 
 TEST(Metrics, ConcurrentSnapshotsDoNotBlockWriters) {
   Counter* c = Metrics::GetCounter("test.counter.snapshot_race");
+  const uint64_t before = c->Value();
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     while (!stop.load(std::memory_order_relaxed)) c->Add(1);
   });
-  for (int i = 0; i < 100; ++i) {
+  // Snapshot until the writer has advanced under the snapshots (and at
+  // least 100 were taken), so the check does not hinge on when the
+  // scheduler first runs the writer; a writer the snapshots block never
+  // advances, and the deadline fails the test.
+  constexpr uint64_t kWrites = 1000;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  int snapshots = 0;
+  while ((snapshots < 100 || c->Value() < before + kWrites) &&
+         std::chrono::steady_clock::now() < deadline) {
     (void)Metrics::Snapshot();  // Must not tear, deadlock, or race (TSan).
+    ++snapshots;
   }
   stop.store(true, std::memory_order_relaxed);
   writer.join();
-  EXPECT_GT(c->Value(), 0u);
+  EXPECT_GE(snapshots, 100);
+  EXPECT_GE(c->Value(), before + kWrites);
 }
 
 TEST(Metrics, HistogramPercentilesOrderedAndBracketed) {

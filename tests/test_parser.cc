@@ -11,9 +11,9 @@ namespace hdmm {
 namespace {
 
 TEST(Parser, MinimalSpec) {
-  UnionWorkload w = ParseWorkloadOrDie(
+  UnionWorkload w = ParseWorkload(
       "domain age=10\n"
-      "product age=prefix\n");
+      "product age=prefix\n").value();
   EXPECT_EQ(w.domain().NumAttributes(), 1);
   EXPECT_EQ(w.domain().AttributeSize(0), 10);
   EXPECT_EQ(w.domain().AttributeName(0), "age");
@@ -22,9 +22,9 @@ TEST(Parser, MinimalSpec) {
 }
 
 TEST(Parser, UnmentionedAttributesDefaultToTotal) {
-  UnionWorkload w = ParseWorkloadOrDie(
+  UnionWorkload w = ParseWorkload(
       "domain sex=2 age=5 race=3\n"
-      "product age=identity\n");
+      "product age=identity\n").value();
   ASSERT_EQ(w.NumProducts(), 1);
   const ProductWorkload& p = w.products()[0];
   EXPECT_EQ(p.factors[0].MaxAbsDiff(TotalBlock(2)), 0.0);
@@ -33,7 +33,7 @@ TEST(Parser, UnmentionedAttributesDefaultToTotal) {
 }
 
 TEST(Parser, AllBlockKinds) {
-  UnionWorkload w = ParseWorkloadOrDie(
+  UnionWorkload w = ParseWorkload(
       "domain a=6\n"
       "product a=identity\n"
       "product a=total\n"
@@ -43,7 +43,7 @@ TEST(Parser, AllBlockKinds) {
       "product a=width(3)\n"
       "product a=point(2)\n"
       "product a=range(1,4)\n"
-      "product a=matrix(2x6:1,1,0,0,0,0,0,0,0,0,1,1)\n");
+      "product a=matrix(2x6:1,1,0,0,0,0,0,0,0,0,1,1)\n").value();
   ASSERT_EQ(w.NumProducts(), 9);
   EXPECT_EQ(w.products()[0].factors[0].rows(), 6);
   EXPECT_EQ(w.products()[1].factors[0].rows(), 1);
@@ -62,12 +62,12 @@ TEST(Parser, AllBlockKinds) {
 }
 
 TEST(Parser, WeightsAndComments) {
-  UnionWorkload w = ParseWorkloadOrDie(
+  UnionWorkload w = ParseWorkload(
       "# header comment\n"
       "domain a=4   # trailing comment\n"
       "\n"
       "product weight=2.5 a=identity\n"
-      "product a=total   # unweighted\n");
+      "product a=total   # unweighted\n").value();
   ASSERT_EQ(w.NumProducts(), 2);
   EXPECT_DOUBLE_EQ(w.products()[0].weight, 2.5);
   EXPECT_DOUBLE_EQ(w.products()[1].weight, 1.0);
@@ -75,23 +75,23 @@ TEST(Parser, WeightsAndComments) {
 
 TEST(Parser, MarginalsDirectives) {
   Domain d({3, 4, 2});
-  UnionWorkload k2 = ParseWorkloadOrDie(
-      "domain a=3 b=4 c=2\nmarginals k=2\n");
+  UnionWorkload k2 = ParseWorkload(
+      "domain a=3 b=4 c=2\nmarginals k=2\n").value();
   EXPECT_EQ(k2.NumProducts(), KWayMarginals(d, 2).NumProducts());
-  UnionWorkload upto = ParseWorkloadOrDie(
-      "domain a=3 b=4 c=2\nmarginals upto=2\n");
+  UnionWorkload upto = ParseWorkload(
+      "domain a=3 b=4 c=2\nmarginals upto=2\n").value();
   EXPECT_EQ(upto.NumProducts(), UpToKWayMarginals(d, 2).NumProducts());
-  UnionWorkload all = ParseWorkloadOrDie(
-      "domain a=3 b=4 c=2\nmarginals all\n");
+  UnionWorkload all = ParseWorkload(
+      "domain a=3 b=4 c=2\nmarginals all\n").value();
   EXPECT_EQ(all.NumProducts(), 8);
   EXPECT_EQ(all.TotalQueries(), AllMarginals(d).TotalQueries());
 }
 
 TEST(Parser, MixedProductsAndMarginals) {
-  UnionWorkload w = ParseWorkloadOrDie(
+  UnionWorkload w = ParseWorkload(
       "domain a=3 b=4\n"
       "product a=prefix b=identity\n"
-      "marginals k=1\n");
+      "marginals k=1\n").value();
   EXPECT_EQ(w.NumProducts(), 3);  // 1 product + 2 one-way marginals.
 }
 
@@ -106,11 +106,11 @@ struct BadSpec {
 class ParserErrorTest : public ::testing::TestWithParam<BadSpec> {};
 
 TEST_P(ParserErrorTest, RejectsWithMessage) {
-  UnionWorkload w;
-  std::string error;
-  EXPECT_FALSE(ParseWorkload(GetParam().spec, &w, &error));
-  EXPECT_NE(error.find(GetParam().message_fragment), std::string::npos)
-      << "actual error: " << error;
+  const Status status = ParseWorkload(GetParam().spec).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(GetParam().message_fragment),
+            std::string::npos)
+      << "actual error: " << status.message();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -146,11 +146,11 @@ INSTANTIATE_TEST_SUITE_P(
         BadSpec{"domain a=4\nmarginals j=1\n", "bad marginals key"}));
 
 TEST(Parser, ErrorsAreLineAnchored) {
-  UnionWorkload w;
-  std::string error;
-  ASSERT_FALSE(ParseWorkload("domain a=4\n\n# c\nproduct a=bogus\n", &w,
-                             &error));
-  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  const Status status =
+      ParseWorkload("domain a=4\n\n# c\nproduct a=bogus\n").status();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("line 4"), std::string::npos)
+      << status.message();
 }
 
 // --- Round trips -------------------------------------------------------------
@@ -163,8 +163,8 @@ TEST(Parser, SerializeParseRoundTripNamedBlocks) {
       "product sex=point(1) age=width(4)\n"
       "product age=allrange\n"
       "product sex=identitytotal\n";
-  UnionWorkload w = ParseWorkloadOrDie(spec);
-  UnionWorkload back = ParseWorkloadOrDie(SerializeWorkload(w));
+  UnionWorkload w = ParseWorkload(spec).value();
+  UnionWorkload back = ParseWorkload(SerializeWorkload(w)).value();
   ASSERT_EQ(back.NumProducts(), w.NumProducts());
   for (int j = 0; j < w.NumProducts(); ++j) {
     EXPECT_DOUBLE_EQ(back.products()[j].weight, w.products()[j].weight);
@@ -178,8 +178,8 @@ TEST(Parser, SerializeParseRoundTripNamedBlocks) {
 }
 
 TEST(Parser, SerializeUsesNamedBlocks) {
-  UnionWorkload w = ParseWorkloadOrDie(
-      "domain a=8\nproduct a=prefix\nproduct a=range(1,3)\n");
+  UnionWorkload w = ParseWorkload(
+      "domain a=8\nproduct a=prefix\nproduct a=range(1,3)\n").value();
   const std::string spec = SerializeWorkload(w);
   EXPECT_NE(spec.find("a=prefix"), std::string::npos) << spec;
   EXPECT_NE(spec.find("a=range(1,3)"), std::string::npos) << spec;
@@ -194,7 +194,7 @@ TEST(Parser, SerializeFallsBackToMatrixLiteral) {
   w.AddProduct(p);
   const std::string spec = SerializeWorkload(w);
   EXPECT_NE(spec.find("matrix(1x3:0.5,1,0)"), std::string::npos) << spec;
-  UnionWorkload back = ParseWorkloadOrDie(spec);
+  UnionWorkload back = ParseWorkload(spec).value();
   EXPECT_EQ(back.products()[0].factors[0].MaxAbsDiff(w.products()[0].factors[0]),
             0.0);
 }
@@ -205,24 +205,23 @@ TEST(Parser, UnnamedDomainSerializesWithGeneratedNames) {
   const std::string spec = SerializeWorkload(w);
   EXPECT_NE(spec.find("a1=4"), std::string::npos) << spec;
   EXPECT_NE(spec.find("a2=2"), std::string::npos) << spec;
-  UnionWorkload back = ParseWorkloadOrDie(spec);
+  UnionWorkload back = ParseWorkload(spec).value();
   EXPECT_EQ(back.DomainSize(), 8);
 }
 
 TEST(Parser, LoadWorkloadFileMissing) {
-  UnionWorkload w;
-  std::string error;
-  EXPECT_FALSE(LoadWorkloadFile("/nonexistent/path.workload", &w, &error));
-  EXPECT_NE(error.find("cannot open"), std::string::npos);
+  const Status status = LoadWorkloadFile("/nonexistent/path.workload").status();
+  EXPECT_EQ(status.code(), StatusCode::kIoError);
+  EXPECT_NE(status.message().find("cannot open"), std::string::npos);
 }
 
 TEST(ParserDeath, ParseOrDieAborts) {
-  EXPECT_DEATH(ParseWorkloadOrDie("domain a=4\nproduct a=bogus\n"),
+  EXPECT_DEATH(ParseWorkload("domain a=4\nproduct a=bogus\n").value(),
                "unknown block");
 }
 
 // Robustness sweep: random byte soup must never crash the parser — it either
-// parses (vanishingly unlikely) or returns false with a message.
+// parses (vanishingly unlikely) or returns an error with a message.
 TEST(Parser, SurvivesRandomGarbage) {
   std::mt19937_64 gen(99);
   const std::string alphabet =
@@ -234,10 +233,9 @@ TEST(Parser, SurvivesRandomGarbage) {
     for (size_t i = 0; i < len; ++i) {
       text.push_back(alphabet[gen() % alphabet.size()]);
     }
-    UnionWorkload w;
-    std::string error;
-    if (!ParseWorkload(text, &w, &error)) {
-      EXPECT_FALSE(error.empty());
+    const StatusOr<UnionWorkload> w = ParseWorkload(text);
+    if (!w.ok()) {
+      EXPECT_FALSE(w.status().message().empty());
     }
   }
 }
@@ -251,9 +249,7 @@ TEST(Parser, SurvivesSingleCharacterMutations) {
     for (char c : {'x', '0', '(', '=', ' '}) {
       std::string mutated = valid;
       mutated[pos] = c;
-      UnionWorkload w;
-      std::string error;
-      (void)ParseWorkload(mutated, &w, &error);  // Must not crash or abort.
+      (void)ParseWorkload(mutated);  // Must not crash or abort.
     }
   }
 }

@@ -15,11 +15,7 @@ Domain PersonDomain() {
 }
 
 ProductWorkload MustParse(const std::string& sql, const Domain& d) {
-  ProductWorkload p;
-  std::string error;
-  bool ok = ParseSqlQuery(sql, d, &p, &error);
-  EXPECT_TRUE(ok) << error;
-  return p;
+  return ParseSqlQuery(sql, d).value();
 }
 
 // Example 2 of the paper: WHERE sex=M AND age < 5 as a product of singleton
@@ -135,12 +131,12 @@ TEST(Sql, KeywordsAreCaseInsensitive) {
 
 TEST(Sql, ScriptBecomesUnionWorkload) {
   const Domain d = PersonDomain();
-  UnionWorkload w = ParseSqlWorkloadOrDie(
+  UnionWorkload w = ParseSqlWorkload(
       "SELECT COUNT(*) FROM Person WHERE sex = 0;\n"
       "SELECT age, COUNT(*) FROM Person GROUP BY age;\n"
       "  ;\n"  // Empty statements are ignored.
       "SELECT COUNT(*) FROM Person WHERE age BETWEEN 0 AND 4 AND sex = 1\n",
-      d);
+      d).value();
   EXPECT_EQ(w.NumProducts(), 3);
   EXPECT_EQ(w.TotalQueries(), 1 + 10 + 1);
   EXPECT_EQ(w.DomainSize(), 40);
@@ -156,11 +152,11 @@ struct BadSql {
 class SqlErrorTest : public ::testing::TestWithParam<BadSql> {};
 
 TEST_P(SqlErrorTest, RejectsWithMessage) {
-  ProductWorkload p;
-  std::string error;
-  EXPECT_FALSE(ParseSqlQuery(GetParam().sql, PersonDomain(), &p, &error));
-  EXPECT_NE(error.find(GetParam().message_fragment), std::string::npos)
-      << "actual error: " << error;
+  const Status status = ParseSqlQuery(GetParam().sql, PersonDomain()).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(GetParam().message_fragment),
+            std::string::npos)
+      << "actual error: " << status.message();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -188,19 +184,20 @@ INSTANTIATE_TEST_SUITE_P(
         BadSql{"SELECT sex COUNT(*) FROM R", "expected ','"}));
 
 TEST(SqlError, ScriptErrorNamesStatement) {
-  UnionWorkload w;
-  std::string error;
-  ASSERT_FALSE(ParseSqlWorkload(
-      "SELECT COUNT(*) FROM R; SELECT COUNT(*) FROM R WHERE bogus = 1",
-      PersonDomain(), &w, &error));
-  EXPECT_NE(error.find("statement 2"), std::string::npos) << error;
+  const Status status =
+      ParseSqlWorkload(
+          "SELECT COUNT(*) FROM R; SELECT COUNT(*) FROM R WHERE bogus = 1",
+          PersonDomain())
+          .status();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("statement 2"), std::string::npos)
+      << status.message();
 }
 
 TEST(SqlError, EmptyScript) {
-  UnionWorkload w;
-  std::string error;
-  EXPECT_FALSE(ParseSqlWorkload(" ;; ", PersonDomain(), &w, &error));
-  EXPECT_NE(error.find("no statements"), std::string::npos);
+  const Status status = ParseSqlWorkload(" ;; ", PersonDomain()).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("no statements"), std::string::npos);
 }
 
 // Robustness sweep: arbitrary near-SQL strings must never crash the parser.
@@ -216,28 +213,28 @@ TEST(Sql, SurvivesRandomGarbage) {
     for (size_t i = 0; i < len; ++i) {
       text.push_back(alphabet[gen() % alphabet.size()]);
     }
-    ProductWorkload p;
-    std::string error;
-    if (!ParseSqlQuery(text, d, &p, &error)) {
-      EXPECT_FALSE(error.empty());
+    const StatusOr<ProductWorkload> p = ParseSqlQuery(text, d);
+    if (!p.ok()) {
+      EXPECT_FALSE(p.status().message().empty());
     }
   }
 }
 
 TEST(SqlDeath, ParseOrDieAborts) {
   EXPECT_DEATH(
-      ParseSqlWorkloadOrDie("SELECT COUNT(*) FROM R WHERE bogus = 1",
-                            PersonDomain()),
+      ParseSqlWorkload("SELECT COUNT(*) FROM R WHERE bogus = 1",
+                       PersonDomain())
+          .value(),
       "unknown attribute");
 }
 
 // The end-to-end property: a parsed SQL workload evaluates queries exactly.
 TEST(Sql, ParsedWorkloadComputesCorrectCounts) {
   const Domain d = PersonDomain();
-  UnionWorkload w = ParseSqlWorkloadOrDie(
+  UnionWorkload w = ParseSqlWorkload(
       "SELECT COUNT(*) FROM Person WHERE sex = 1 AND age < 5;"
       "SELECT sex, COUNT(*) FROM Person GROUP BY sex",
-      d);
+      d).value();
   // Data vector: one person per cell index for a few cells.
   Vector x(static_cast<size_t>(d.TotalSize()), 0.0);
   // (sex=1, age=3, hispanic=0) -> count 4.

@@ -1,5 +1,9 @@
 #include "core/strategy.h"
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/error.h"
@@ -200,6 +204,52 @@ TEST(ErrorRatio, IdentityVsItselfIsOne) {
   KronStrategy a({IdentityBlock(3), IdentityBlock(4)});
   KronStrategy b({IdentityBlock(3), IdentityBlock(4)});
   EXPECT_NEAR(ErrorRatio(w, a, b), 1.0, 1e-12);
+}
+
+// Cached plans are shared across threads, so the first Reconstruct calls
+// on a fresh strategy race to build its lazily cached pseudo-inverses. Every
+// thread must see the fully built cache and the serial answer.
+void ExpectConcurrentReconstructMatchesSerial(const Strategy& shared,
+                                              const Strategy& reference) {
+  constexpr int kThreads = 4;
+  Rng rng(17);
+  Vector y(static_cast<size_t>(shared.NumQueries()));
+  for (double& v : y) v = rng.Uniform(-1.0, 1.0);
+  const Vector expected = reference.Reconstruct(y);
+
+  std::atomic<int> ready{0};
+  std::vector<Vector> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Line every thread up so they all hit the cold cache together.
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+      }
+      got[static_cast<size_t>(t)] = shared.Reconstruct(y);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(got[static_cast<size_t>(t)], expected) << "thread " << t;
+  }
+}
+
+TEST(StrategyConcurrency, SharedKronReconstruct) {
+  for (int round = 0; round < 8; ++round) {
+    const std::vector<Matrix> factors(3, PrefixBlock(16));
+    KronStrategy shared(factors);
+    KronStrategy reference(factors);
+    ExpectConcurrentReconstructMatchesSerial(shared, reference);
+  }
+}
+
+TEST(StrategyConcurrency, SharedExplicitReconstruct) {
+  for (int round = 0; round < 8; ++round) {
+    ExplicitStrategy shared(PrefixBlock(48));
+    ExplicitStrategy reference(PrefixBlock(48));
+    ExpectConcurrentReconstructMatchesSerial(shared, reference);
+  }
 }
 
 }  // namespace

@@ -40,9 +40,9 @@ TEST(StrategyIo, ExplicitRoundTrip) {
       Matrix::RandomUniform(5, 4, &rng, 0.0, 1.0), "my-explicit");
   UnionWorkload w = MakeProductWorkload(Domain({4}), {PrefixBlock(4)});
 
-  std::string error;
-  auto restored = ParseStrategy(SerializeStrategy(original), &error);
-  ASSERT_NE(restored, nullptr) << error;
+  auto parsed = ParseStrategy(SerializeStrategy(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::unique_ptr<Strategy> restored = std::move(parsed).value();
   ExpectEquivalent(original, *restored, w, &rng);
 }
 
@@ -55,9 +55,9 @@ TEST(StrategyIo, KronRoundTrip) {
   UnionWorkload w = MakeProductWorkload(Domain({2, 5}),
                                         {IdentityBlock(2), PrefixBlock(5)});
 
-  std::string error;
-  auto restored = ParseStrategy(SerializeStrategy(original), &error);
-  ASSERT_NE(restored, nullptr) << error;
+  auto parsed = ParseStrategy(SerializeStrategy(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::unique_ptr<Strategy> restored = std::move(parsed).value();
   ExpectEquivalent(original, *restored, w, &rng);
   EXPECT_NE(dynamic_cast<KronStrategy*>(restored.get()), nullptr);
 }
@@ -78,9 +78,9 @@ TEST(StrategyIo, UnionKronRoundTrip) {
        {MatScale(TotalBlock(4), 1.0), MatScale(PrefixBlock(4), 0.5)}},
       {{0}, {1}}, "opt-union");
 
-  std::string error;
-  auto restored = ParseStrategy(SerializeStrategy(original), &error);
-  ASSERT_NE(restored, nullptr) << error;
+  auto parsed = ParseStrategy(SerializeStrategy(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::unique_ptr<Strategy> restored = std::move(parsed).value();
   ExpectEquivalent(original, *restored, w, &rng);
   auto* u = dynamic_cast<UnionKronStrategy*>(restored.get());
   ASSERT_NE(u, nullptr);
@@ -97,9 +97,9 @@ TEST(StrategyIo, MarginalsRoundTrip) {
   MarginalsStrategy original(d, theta, "opt-marginals");
   UnionWorkload w = KWayMarginals(d, 2);
 
-  std::string error;
-  auto restored = ParseStrategy(SerializeStrategy(original), &error);
-  ASSERT_NE(restored, nullptr) << error;
+  auto parsed = ParseStrategy(SerializeStrategy(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::unique_ptr<Strategy> restored = std::move(parsed).value();
   ExpectEquivalent(original, *restored, w, &rng);
 }
 
@@ -114,10 +114,11 @@ TEST(StrategyIo, OptimizerOutputRoundTripsThroughDisk) {
   HdmmResult result = OptimizeStrategy(w, options);
 
   const std::string path = ::testing::TempDir() + "/strategy.hdmm";
-  std::string error;
-  ASSERT_TRUE(SaveStrategyFile(path, *result.strategy, &error)) << error;
-  auto restored = LoadStrategyFile(path, &error);
-  ASSERT_NE(restored, nullptr) << error;
+  const Status saved = SaveStrategyFile(path, *result.strategy);
+  ASSERT_TRUE(saved.ok()) << saved.ToString();
+  auto loaded = LoadStrategyFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const std::unique_ptr<Strategy> restored = std::move(loaded).value();
 
   Rng rng(5);
   ExpectEquivalent(*result.strategy, *restored, w, &rng);
@@ -140,9 +141,9 @@ TEST(StrategyIo, ExactDoubleFidelity) {
   // decimal weights must survive unchanged bit for bit.
   KronStrategy original({Matrix::FromRows({{1.0 / 3.0, 0.1}, {0.7, 2.0 / 7.0}})},
                         "precision");
-  std::string error;
-  auto restored = ParseStrategy(SerializeStrategy(original), &error);
-  ASSERT_NE(restored, nullptr) << error;
+  auto parsed = ParseStrategy(SerializeStrategy(original));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const std::unique_ptr<Strategy> restored = std::move(parsed).value();
   auto* k = dynamic_cast<KronStrategy*>(restored.get());
   ASSERT_NE(k, nullptr);
   EXPECT_EQ(k->factors()[0].MaxAbsDiff(original.factors()[0]), 0.0);
@@ -177,10 +178,9 @@ Matrix FuzzMatrix(Rng* rng, int64_t max_rows, int64_t max_cols) {
 
 void ExpectSerializationFixedPoint(const Strategy& s) {
   const std::string first = SerializeStrategy(s);
-  std::string error;
-  auto reparsed = ParseStrategy(first, &error);
-  ASSERT_NE(reparsed, nullptr) << error;
-  EXPECT_EQ(SerializeStrategy(*reparsed), first);
+  const auto reparsed = ParseStrategy(first);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(SerializeStrategy(**reparsed), first);
 }
 
 TEST(StrategyIoFixedPoint, ExplicitFuzz) {
@@ -264,10 +264,11 @@ class StrategyIoErrorTest
     : public ::testing::TestWithParam<BadStrategyText> {};
 
 TEST_P(StrategyIoErrorTest, RejectsWithMessage) {
-  std::string error;
-  EXPECT_EQ(ParseStrategy(GetParam().text, &error), nullptr);
-  EXPECT_NE(error.find(GetParam().message_fragment), std::string::npos)
-      << "actual error: " << error;
+  const Status status = ParseStrategy(GetParam().text).status();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find(GetParam().message_fragment),
+            std::string::npos)
+      << "actual error: " << status.message();
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -297,9 +298,9 @@ INSTANTIATE_TEST_SUITE_P(
             "2^d"}));
 
 TEST(StrategyIo, LoadMissingFile) {
-  std::string error;
-  EXPECT_EQ(LoadStrategyFile("/nonexistent.hdmm", &error), nullptr);
-  EXPECT_NE(error.find("cannot open"), std::string::npos);
+  const Status status = LoadStrategyFile("/nonexistent.hdmm").status();
+  EXPECT_EQ(status.code(), StatusCode::kNotFound);
+  EXPECT_NE(status.message().find("cannot open"), std::string::npos);
 }
 
 // ------------------------------------------------- malformed-input corpus --
@@ -307,8 +308,8 @@ TEST(StrategyIo, LoadMissingFile) {
 // The corpus is the fuzz generators' own output, mutated: every valid
 // serialization the library can produce is truncated, byte-flipped, and
 // extended with garbage. The contract under test is narrow but absolute —
-// ParseStrategy either returns a strategy or returns nullptr with a
-// non-empty error; corrupt input must never reach an aborting constructor
+// ParseStrategy either returns a strategy or a kCorruption status with a
+// non-empty message; corrupt input must never reach an aborting constructor
 // contract.
 std::vector<std::string> FuzzCorpus() {
   std::vector<std::string> corpus;
@@ -330,17 +331,18 @@ std::vector<std::string> FuzzCorpus() {
 
 // Parse must not abort; on rejection it must say why.
 void ExpectParseIsTotal(const std::string& text, const char* what) {
-  std::string error;
-  auto parsed = ParseStrategy(text, &error);
-  if (parsed == nullptr) {
-    EXPECT_FALSE(error.empty()) << what << ": rejected without a message";
+  const Status status = ParseStrategy(text).status();
+  if (!status.ok()) {
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << what;
+    EXPECT_FALSE(status.message().empty())
+        << what << ": rejected without a message";
   }
 }
 
 TEST(StrategyIoCorpus, TruncationAtEveryByteNeverAborts) {
   for (const std::string& good : FuzzCorpus()) {
-    std::string error;
-    ASSERT_NE(ParseStrategy(good, &error), nullptr) << error;
+    const Status status = ParseStrategy(good).status();
+    ASSERT_TRUE(status.ok()) << status.ToString();
     for (size_t cut = 0; cut < good.size(); ++cut) {
       ExpectParseIsTotal(good.substr(0, cut), "truncation");
     }
@@ -350,9 +352,10 @@ TEST(StrategyIoCorpus, TruncationAtEveryByteNeverAborts) {
 TEST(StrategyIoCorpus, WrongMagicIsRejectedUpFront) {
   for (std::string text : FuzzCorpus()) {
     text[0] ^= 0x20;  // "hdmm" -> "Hdmm"
-    std::string error;
-    EXPECT_EQ(ParseStrategy(text, &error), nullptr);
-    EXPECT_NE(error.find("header"), std::string::npos) << error;
+    const Status status = ParseStrategy(text).status();
+    EXPECT_FALSE(status.ok());
+    EXPECT_NE(status.message().find("header"), std::string::npos)
+        << status.message();
   }
 }
 
@@ -371,11 +374,11 @@ TEST(StrategyIoCorpus, ByteFlipsNeverAbort) {
 
 TEST(StrategyIoCorpus, TrailingGarbageIsRejectedNotAbsorbed) {
   for (const std::string& good : FuzzCorpus()) {
-    std::string error;
-    EXPECT_EQ(ParseStrategy(good + "spurious trailing line\n", &error),
-              nullptr)
+    const Status status =
+        ParseStrategy(good + "spurious trailing line\n").status();
+    EXPECT_FALSE(status.ok())
         << "garbage after a complete strategy must not parse";
-    EXPECT_FALSE(error.empty());
+    EXPECT_FALSE(status.message().empty());
   }
 }
 
@@ -386,23 +389,22 @@ TEST(StrategyIoCorpus, LoadStatusClassifiesTheFailure) {
   fs::remove_all(dir);
   fs::create_directories(dir);
 
-  std::unique_ptr<Strategy> out;
-  EXPECT_EQ(LoadStrategyFileOr((dir / "absent.hdmm").string(), &out).code(),
+  EXPECT_EQ(LoadStrategyFile((dir / "absent.hdmm").string()).status().code(),
             StatusCode::kNotFound);
 
   const fs::path corrupt = dir / "corrupt.hdmm";
   std::ofstream(corrupt) << "hdmm-strategy v1\nkind kron\nname x\n";
-  const Status status = LoadStrategyFileOr(corrupt.string(), &out);
+  const Status status = LoadStrategyFile(corrupt.string()).status();
   EXPECT_EQ(status.code(), StatusCode::kCorruption);
   EXPECT_NE(status.message().find("no factors"), std::string::npos)
       << status.ToString();
 
   const fs::path good = dir / "good.hdmm";
   std::ofstream(good) << FuzzCorpus().front();
-  const Status loaded = LoadStrategyFileOr(good.string(), &out);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  ASSERT_NE(out, nullptr);
-  EXPECT_EQ(out->Name(), "corpus-explicit");
+  const auto loaded = LoadStrategyFile(good.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_NE(*loaded, nullptr);
+  EXPECT_EQ((*loaded)->Name(), "corpus-explicit");
 }
 
 }  // namespace

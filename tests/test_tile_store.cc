@@ -197,7 +197,7 @@ TEST_F(TileStoreTest, TruncatedTileQuarantined) {
 TEST_F(TileStoreTest, WriteFailpointSurfacesIoError) {
   const std::string dir = FreshDir("write_fp");
   MmapTileStore store(8, /*tile_bytes=*/4 * 8, dir, 1 << 20);
-  ASSERT_TRUE(Failpoints::Activate("tile_store.write.io_error", "nth:2"));
+  ASSERT_TRUE(Failpoints::Activate("tile_store.write.io_error", "nth:2").ok());
   const Vector data = Ramp(8);
   ASSERT_TRUE(store.AppendTile(data.data(), 4).ok());
   const Status st = store.AppendTile(data.data() + 4, 4);

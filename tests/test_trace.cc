@@ -38,7 +38,7 @@ TEST(Trace, DisabledSpansRecordNothing) {
 TEST(Trace, RoundTripProducesWellFormedChromeTrace) {
   const std::string path = TracePath("trace_roundtrip.json");
   std::string error;
-  ASSERT_TRUE(Trace::Start(path, &error)) << error;
+  ASSERT_TRUE(Trace::Start(path).ok());
   Trace::SetThreadName("test-main");
   {
     HDMM_TRACE_SPAN("outer.span");
@@ -52,7 +52,7 @@ TEST(Trace, RoundTripProducesWellFormedChromeTrace) {
   });
   worker.join();
   EXPECT_GE(Trace::RecordedSpans(), 3u);
-  ASSERT_TRUE(Trace::Stop(&error)) << error;
+  ASSERT_TRUE(Trace::Stop().ok());
   EXPECT_FALSE(Trace::Enabled());
 
   const std::string json = ReadFileOrDie(path);
@@ -72,33 +72,33 @@ TEST(Trace, RoundTripProducesWellFormedChromeTrace) {
 
 TEST(Trace, StartWhileCollectingFails) {
   const std::string path = TracePath("trace_double_start.json");
-  std::string error;
-  ASSERT_TRUE(Trace::Start(path, &error)) << error;
-  EXPECT_FALSE(Trace::Start(TracePath("trace_other.json"), &error));
-  EXPECT_FALSE(error.empty());
-  ASSERT_TRUE(Trace::Stop(&error)) << error;
+  ASSERT_TRUE(Trace::Start(path).ok());
+  const Status second = Trace::Start(TracePath("trace_other.json"));
+  EXPECT_EQ(second.code(), StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(second.message().empty());
+  ASSERT_TRUE(Trace::Stop().ok());
   std::remove(path.c_str());
 }
 
 TEST(Trace, StopWhenIdleIsANoOp) {
   ASSERT_FALSE(Trace::Enabled());
-  EXPECT_TRUE(Trace::Stop());
+  EXPECT_TRUE(Trace::Stop().ok());
 }
 
 TEST(Trace, RestartDoesNotReplayOldSpans) {
   const std::string first = TracePath("trace_first.json");
   const std::string second = TracePath("trace_second.json");
   std::string error;
-  ASSERT_TRUE(Trace::Start(first, &error)) << error;
+  ASSERT_TRUE(Trace::Start(first).ok());
   {
     HDMM_TRACE_SPAN("stale.span");
   }
-  ASSERT_TRUE(Trace::Stop(&error)) << error;
-  ASSERT_TRUE(Trace::Start(second, &error)) << error;
+  ASSERT_TRUE(Trace::Stop().ok());
+  ASSERT_TRUE(Trace::Start(second).ok());
   {
     HDMM_TRACE_SPAN("fresh.span");
   }
-  ASSERT_TRUE(Trace::Stop(&error)) << error;
+  ASSERT_TRUE(Trace::Stop().ok());
   const std::string json = ReadFileOrDie(second);
   EXPECT_TRUE(hdmm_tests::JsonLinter::Valid(json, &error)) << error;
   EXPECT_NE(json.find("\"fresh.span\""), std::string::npos);
@@ -110,13 +110,13 @@ TEST(Trace, RestartDoesNotReplayOldSpans) {
 TEST(Trace, RingOverflowDropsOldestAndStaysWellFormed) {
   const std::string path = TracePath("trace_overflow.json");
   std::string error;
-  ASSERT_TRUE(Trace::Start(path, &error)) << error;
+  ASSERT_TRUE(Trace::Start(path).ok());
   // Overrun the 1<<14 per-thread ring so the writer takes the dropped path.
   constexpr int kSpans = (1 << 14) + 500;
   for (int i = 0; i < kSpans; ++i) {
     HDMM_TRACE_SPAN("overflow.span");
   }
-  ASSERT_TRUE(Trace::Stop(&error)) << error;
+  ASSERT_TRUE(Trace::Stop().ok());
   const std::string json = ReadFileOrDie(path);
   EXPECT_TRUE(hdmm_tests::JsonLinter::Valid(json, &error)) << error;
   EXPECT_NE(json.find("\"hdmm_dropped_spans\""), std::string::npos);
@@ -127,27 +127,27 @@ TEST(Trace, RingOverflowDropsOldestAndStaysWellFormed) {
 TEST(Trace, FlushWritesWithoutStopping) {
   const std::string path = TracePath("trace_flush.json");
   std::string error;
-  ASSERT_TRUE(Trace::Start(path, &error)) << error;
+  ASSERT_TRUE(Trace::Start(path).ok());
   {
     HDMM_TRACE_SPAN("flushed.span");
   }
-  ASSERT_TRUE(Trace::Flush(&error)) << error;
+  ASSERT_TRUE(Trace::Flush().ok());
   EXPECT_TRUE(Trace::Enabled());
   const std::string json = ReadFileOrDie(path);
   EXPECT_TRUE(hdmm_tests::JsonLinter::Valid(json, &error)) << error;
   EXPECT_NE(json.find("\"flushed.span\""), std::string::npos);
-  ASSERT_TRUE(Trace::Stop(&error)) << error;
+  ASSERT_TRUE(Trace::Stop().ok());
   std::remove(path.c_str());
 }
 
 TEST(Trace, StopReportsUnwritablePath) {
-  std::string error;
-  ASSERT_TRUE(Trace::Start("/nonexistent-dir/trace.json", &error)) << error;
+  ASSERT_TRUE(Trace::Start("/nonexistent-dir/trace.json").ok());
   {
     HDMM_TRACE_SPAN("doomed.span");
   }
-  EXPECT_FALSE(Trace::Stop(&error));
-  EXPECT_FALSE(error.empty());
+  const Status stopped = Trace::Stop();
+  EXPECT_EQ(stopped.code(), StatusCode::kIoError);
+  EXPECT_FALSE(stopped.message().empty());
   EXPECT_FALSE(Trace::Enabled());  // Disabled even when the write failed.
 }
 

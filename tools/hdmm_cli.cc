@@ -140,11 +140,13 @@ bool LoadWorkloadFlag(const Flags& flags, UnionWorkload* w) {
     std::fprintf(stderr, "missing --workload FILE\n");
     return false;
   }
-  std::string error;
-  if (!LoadWorkloadFile(path, w, &error)) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+  StatusOr<UnionWorkload> loaded = LoadWorkloadFile(path);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(),
+                 loaded.status().message().c_str());
     return false;
   }
+  *w = std::move(loaded).value();
   return true;
 }
 
@@ -249,9 +251,9 @@ int CmdOptimize(const Flags& flags) {
 
   if (flags.Has("save-strategy")) {
     const std::string path = flags.Get("save-strategy");
-    std::string error;
-    if (!SaveStrategyFile(path, *result.strategy, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
+    const Status saved = SaveStrategyFile(path, *result.strategy);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "%s\n", saved.message().c_str());
       return 1;
     }
     std::printf("strategy saved to %s\n", path.c_str());
@@ -278,9 +280,10 @@ int CmdRun(const Flags& flags) {
   }
 
   Dataset dataset(w.domain());
-  std::string error;
-  if (!LoadCsvDataset(data_path, w.domain(), &dataset, &error)) {
-    std::fprintf(stderr, "%s: %s\n", data_path.c_str(), error.c_str());
+  const Status loaded = LoadCsvDataset(data_path, w.domain(), &dataset);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s: %s\n", data_path.c_str(),
+                 loaded.message().c_str());
     return 1;
   }
   std::fprintf(stderr, "loaded %lld records over %s\n",
@@ -294,12 +297,13 @@ int CmdRun(const Flags& flags) {
                FingerprintPlan(w, OptionsFromFlags(flags)).Hex().c_str());
   std::unique_ptr<Strategy> strategy;
   if (flags.Has("strategy")) {
-    std::string error;
-    strategy = LoadStrategyFile(flags.Get("strategy"), &error);
-    if (strategy == nullptr) {
-      std::fprintf(stderr, "%s\n", error.c_str());
+    StatusOr<std::unique_ptr<Strategy>> loaded =
+        LoadStrategyFile(flags.Get("strategy"));
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "%s\n", loaded.status().message().c_str());
       return 1;
     }
+    strategy = std::move(loaded).value();
     if (strategy->DomainSize() != w.DomainSize()) {
       std::fprintf(stderr,
                    "strategy domain size %lld does not match workload %lld\n",
@@ -364,9 +368,10 @@ int CmdServe(const Flags& flags) {
     return 1;
   }
   Dataset dataset(w.domain());
-  std::string error;
-  if (!LoadCsvDataset(data_path, w.domain(), &dataset, &error)) {
-    std::fprintf(stderr, "%s: %s\n", data_path.c_str(), error.c_str());
+  const Status loaded = LoadCsvDataset(data_path, w.domain(), &dataset);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s: %s\n", data_path.c_str(),
+                 loaded.message().c_str());
     return 1;
   }
 
@@ -533,13 +538,13 @@ int CmdServe(const Flags& flags) {
   // Prewarm: plan before the first measure so startup reports whether this
   // release hits the cache, and so disk-tier problems surface immediately
   // instead of as a silent cold plan on every restart.
-  PlanResult plan = engine.Plan(w);
+  const PlanResult plan = engine.PlanOr(w).value();
   std::printf("plan fingerprint: %s (%s, %.1f ms)\n",
               plan.fingerprint.Hex().c_str(), PlanSourceName(plan.source),
               1e3 * plan.seconds);
-  if (!plan.cache_error.empty()) {
+  if (!plan.cache_error.ok()) {
     std::fprintf(stderr, "warning: strategy not persisted: %s\n",
-                 plan.cache_error.c_str());
+                 plan.cache_error.ToString().c_str());
   }
   const SessionDiagnostics serve_diag = DiagnoseSession(
       *plan.strategy, w, engine.accountant().total_epsilon());
@@ -720,10 +725,9 @@ int CmdServe(const Flags& flags) {
         std::printf(
             "error: no measurement session (run `measure EPS` first)\n");
       } else {
-        BoxQuery q;
-        std::string why;
-        if (!ParseQueryLine(line, w.domain(), &q, &why)) {
-          std::printf("error: %s\n", why.c_str());
+        const StatusOr<BoxQuery> q = ParseQueryLine(line, w.domain());
+        if (!q.ok()) {
+          std::printf("error: %s\n", q.status().message().c_str());
         } else {
           // Through the batch path (not session->Answer directly) so the
           // `stats` command's AnswerBatch latency histogram covers every
@@ -733,7 +737,7 @@ int CmdServe(const Flags& flags) {
                                 ? Deadline::AfterMillis(deadline_ms)
                                 : Deadline());
           const CancelToken* cancel = deadline_ms > 0 ? &token : nullptr;
-          auto answer = session->AnswerBatchOr({q}, cancel);
+          auto answer = session->AnswerBatchOr({*q}, cancel);
           if (!answer.ok()) {
             print_status_error(answer.status());
           } else {
@@ -802,13 +806,13 @@ int CmdConvertSql(const Flags& flags) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
 
-  UnionWorkload w;
-  std::string error;
-  if (!ParseSqlWorkload(buffer.str(), domain, &w, &error)) {
-    std::fprintf(stderr, "%s: %s\n", sql_path.c_str(), error.c_str());
+  const StatusOr<UnionWorkload> w = ParseSqlWorkload(buffer.str(), domain);
+  if (!w.ok()) {
+    std::fprintf(stderr, "%s: %s\n", sql_path.c_str(),
+                 w.status().message().c_str());
     return 1;
   }
-  std::fputs(SerializeWorkload(w).c_str(), stdout);
+  std::fputs(SerializeWorkload(*w).c_str(), stdout);
   return 0;
 }
 
@@ -816,29 +820,30 @@ int CmdShow(const Flags& flags) {
   // --strategy: describe a persisted strategy (optionally checking support
   // against --workload). Otherwise show the workload.
   if (flags.Has("strategy")) {
-    std::string error;
-    auto strategy = LoadStrategyFile(flags.Get("strategy"), &error);
-    if (strategy == nullptr) {
-      std::fprintf(stderr, "%s\n", error.c_str());
+    const StatusOr<std::unique_ptr<Strategy>> loaded =
+        LoadStrategyFile(flags.Get("strategy"));
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "%s\n", loaded.status().message().c_str());
       return 1;
     }
-    std::fputs(ReportToString(DescribeStrategy(*strategy)).c_str(), stdout);
+    const Strategy& strategy = **loaded;
+    std::fputs(ReportToString(DescribeStrategy(strategy)).c_str(), stdout);
     if (flags.Has("workload")) {
       UnionWorkload w;
       if (!LoadWorkloadFlag(flags, &w)) return 1;
-      if (strategy->DomainSize() != w.DomainSize()) {
+      if (strategy.DomainSize() != w.DomainSize()) {
         std::printf("workload: DOMAIN MISMATCH (%lld vs %lld cells)\n",
                     static_cast<long long>(w.DomainSize()),
-                    static_cast<long long>(strategy->DomainSize()));
+                    static_cast<long long>(strategy.DomainSize()));
         return 1;
       }
-      const bool ok = SupportsWorkload(*strategy, w);
+      const bool ok = SupportsWorkload(strategy, w);
       std::printf("workload support: %s\n",
                   ok ? "yes (W A+ A = W)" : "NO — reconstruction would be "
                                             "biased");
       if (ok) {
         std::printf("expected per-query RMSE at epsilon=1: %.4f\n",
-                    strategy->RootMeanSquaredError(w, 1.0));
+                    strategy.RootMeanSquaredError(w, 1.0));
       }
     }
     return 0;
