@@ -37,6 +37,7 @@
 
 #include "bench_util.h"
 #include "common/hash.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -543,11 +544,39 @@ ErrorEvalAllocs MeasureErrorEvalAllocations(const UnionWorkload& w) {
   return out;
 }
 
+// Gram-cache traffic: the registry counters GramCache::FactorGram records
+// into, read as totals or as the delta over one window.
+struct GramTraffic {
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t closed_form = 0;  // Misses served by a recognized closed form.
+  double HitRate() const {
+    const uint64_t total = hits + misses;
+    return total == 0 ? 0.0 : static_cast<double>(hits) / total;
+  }
+};
+
+GramTraffic ReadGramCounters() {
+  GramTraffic t;
+  t.hits = Metrics::GetCounter("gram_cache.hits")->Value();
+  t.misses = Metrics::GetCounter("gram_cache.misses")->Value();
+  t.closed_form = Metrics::GetCounter("gram_cache.closed_form")->Value();
+  return t;
+}
+
+GramTraffic GramTrafficSince(const GramTraffic& before) {
+  GramTraffic t = ReadGramCounters();
+  t.hits -= before.hits;
+  t.misses -= before.misses;
+  t.closed_form -= before.closed_form;
+  return t;
+}
+
 struct PlanTimings {
   double cold_s = 0.0;
   double warm_gram_s = 0.0;
-  GramCache::Stats cold_stats;
-  GramCache::Stats warm_stats;
+  GramTraffic cold_traffic;
+  GramTraffic warm_traffic;
 };
 
 PlanTimings BenchColdPlan(const UnionWorkload& w) {
@@ -557,30 +586,30 @@ PlanTimings BenchColdPlan(const UnionWorkload& w) {
 
   PlanTimings t;
   GramCache::Global().Clear();
-  GramCache::Global().ResetStats();
   {
+    const GramTraffic before = ReadGramCounters();
     WallTimer timer;
     HdmmResult res = OptimizeStrategy(w, options);
     t.cold_s = timer.Seconds();
-    t.cold_stats = GramCache::Global().stats();
+    t.cold_traffic = GramTrafficSince(before);
     std::printf("  cold plan (empty gram cache): %8.1f ms  -> %s\n",
                 1e3 * t.cold_s, res.chosen_operator.c_str());
   }
-  GramCache::Global().ResetStats();
   {
+    const GramTraffic before = ReadGramCounters();
     WallTimer timer;
     HdmmResult res = OptimizeStrategy(w, options);
     t.warm_gram_s = timer.Seconds();
-    t.warm_stats = GramCache::Global().stats();
+    t.warm_traffic = GramTrafficSince(before);
     std::printf("  re-plan (warm gram cache):    %8.1f ms  -> %s\n",
                 1e3 * t.warm_gram_s, res.chosen_operator.c_str());
   }
   std::printf("  gram cache: cold %llu miss / %llu hit (%llu closed-form), "
               "warm hit rate %.0f%%\n",
-              static_cast<unsigned long long>(t.cold_stats.misses),
-              static_cast<unsigned long long>(t.cold_stats.hits),
-              static_cast<unsigned long long>(t.cold_stats.closed_form),
-              100.0 * t.warm_stats.HitRate());
+              static_cast<unsigned long long>(t.cold_traffic.misses),
+              static_cast<unsigned long long>(t.cold_traffic.hits),
+              static_cast<unsigned long long>(t.cold_traffic.closed_form),
+              100.0 * t.warm_traffic.HitRate());
   return t;
 }
 
@@ -691,10 +720,10 @@ void WriteJson(const EvalRace& race, double allocs_per_eval,
                "\"cold_gram_misses\": %llu, \"cold_gram_hits\": %llu, "
                "\"cold_closed_form\": %llu, \"warm_hit_rate\": %.3f},\n",
                plan.cold_s, plan.warm_gram_s,
-               static_cast<unsigned long long>(plan.cold_stats.misses),
-               static_cast<unsigned long long>(plan.cold_stats.hits),
-               static_cast<unsigned long long>(plan.cold_stats.closed_form),
-               plan.warm_stats.HitRate());
+               static_cast<unsigned long long>(plan.cold_traffic.misses),
+               static_cast<unsigned long long>(plan.cold_traffic.hits),
+               static_cast<unsigned long long>(plan.cold_traffic.closed_form),
+               plan.warm_traffic.HitRate());
   std::fprintf(f, "  \"restart_scaling\": [\n");
   for (size_t i = 0; i < scaling.size(); ++i) {
     const ThreadArm& arm = scaling[i];

@@ -41,9 +41,6 @@ class Rng {
   /// Zero-mean Laplace sample with scale `b` (variance 2b^2).
   double Laplace(double b);
 
-  /// Vector of `n` iid Laplace(b) samples.
-  std::vector<double> LaplaceVector(int64_t n, double b);
-
   /// Rademacher (+1/-1) vector, used by the Hutchinson trace estimator.
   std::vector<double> RademacherVector(int64_t n);
 

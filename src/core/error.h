@@ -3,9 +3,7 @@
 #ifndef HDMM_CORE_ERROR_H_
 #define HDMM_CORE_ERROR_H_
 
-#include "common/rng.h"
 #include "core/strategy.h"
-#include "linalg/linear_operator.h"
 #include "workload/workload.h"
 
 namespace hdmm {
@@ -17,14 +15,6 @@ double ExplicitSquaredError(const Matrix& w, const Matrix& a);
 /// Table 3/4/5. Independent of epsilon.
 double ErrorRatio(const UnionWorkload& w, const Strategy& other,
                   const Strategy& reference);
-
-/// Matrix-free estimate of ||A||_1^2 * tr[(A^T A)^{-1} W^T W] via Hutchinson
-/// probes and CG, for strategies with no structured error formula (e.g., the
-/// QuadTree baseline on large 2D domains). `sensitivity` = ||A||_1.
-double EstimateSquaredError(const LinearOperator& strategy_op,
-                            const LinearOperator& workload_op,
-                            double sensitivity, Rng* rng,
-                            int num_samples = 16);
 
 /// Empirical total squared error of one mechanism run: given true workload
 /// answers and reconstructed answers, sum of squared differences. Used for

@@ -150,26 +150,23 @@ std::shared_ptr<const Matrix> GramCache::FactorGram(const Matrix& factor) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
     if (it != map_.end() && it->second->cols() == factor.cols()) {
-      ++hits_;
       hit_count->Add(1);
       return it->second;
     }
-    ++misses_;
-    miss_count->Add(1);
   }
+  miss_count->Add(1);
   // Compute outside the lock: concurrent misses of the same factor may
   // duplicate the work, but both arrive at the same value and the loser's
   // insert is a no-op overwrite.
   Matrix gram;
-  const bool closed = RecognizeClosedFormGram(factor, &gram);
-  if (!closed) GramInto(factor, &gram);
+  if (RecognizeClosedFormGram(factor, &gram)) {
+    closed_count->Add(1);
+  } else {
+    GramInto(factor, &gram);
+  }
   auto shared = std::make_shared<const Matrix>(std::move(gram));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (closed) {
-      ++closed_form_;
-      closed_count->Add(1);
-    }
     if (resident_doubles_ + shared->size() > kMaxResidentDoubles) {
       map_.clear();
       resident_doubles_ = 0;
@@ -178,20 +175,6 @@ std::shared_ptr<const Matrix> GramCache::FactorGram(const Matrix& factor) {
     if (inserted.second) resident_doubles_ += shared->size();
   }
   return shared;
-}
-
-GramCache::Stats GramCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.closed_form = closed_form_;
-  return s;
-}
-
-void GramCache::ResetStats() {
-  std::lock_guard<std::mutex> lock(mu_);
-  hits_ = misses_ = closed_form_ = 0;
 }
 
 void GramCache::Clear() {

@@ -48,20 +48,11 @@ class GramCache {
   /// dedup/sharing identity OPT_x uses for its per-attribute Gram pools.
   static uint64_t FactorKey(const Matrix& factor);
 
-  /// The Gram factor^T factor, memoized on FactorKey.
+  /// The Gram factor^T factor, memoized on FactorKey. Each call counts one
+  /// `gram_cache.hits` or `gram_cache.misses` in the metrics registry, and a
+  /// miss served by a recognized closed form also counts one
+  /// `gram_cache.closed_form`.
   std::shared_ptr<const Matrix> FactorGram(const Matrix& factor);
-
-  struct Stats {
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t closed_form = 0;  ///< Misses served by a recognized closed form.
-    double HitRate() const {
-      const uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) / total;
-    }
-  };
-  Stats stats() const;
-  void ResetStats();
 
   /// Drops every entry (outstanding shared_ptrs stay valid).
   void Clear();
@@ -72,9 +63,8 @@ class GramCache {
   /// to rebuild and an LRU chain is not worth the bookkeeping here.
   int64_t resident_doubles() const;
 
-  /// Process-wide cache consulted by ProductWorkload::FactorGram, OPT_x's
-  /// per-attribute Gram pools, and (for its hit-rate accounting)
-  /// Engine::PlanOr.
+  /// Process-wide cache consulted by ProductWorkload::FactorGram and OPT_x's
+  /// per-attribute Gram pools.
   static GramCache& Global();
 
  private:
@@ -84,9 +74,6 @@ class GramCache {
   mutable std::mutex mu_;
   std::unordered_map<uint64_t, std::shared_ptr<const Matrix>> map_;
   int64_t resident_doubles_ = 0;
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-  uint64_t closed_form_ = 0;
 };
 
 }  // namespace hdmm

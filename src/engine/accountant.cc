@@ -18,6 +18,7 @@
 
 #include "common/check.h"
 #include "common/failpoint.h"
+#include "common/file_sync.h"
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "core/gaussian.h"
@@ -100,17 +101,6 @@ void FlushAndSyncOrDie(std::FILE* file) {
   HDMM_CHECK_MSG(::fsync(::fileno(file)) == 0,
                  "budget ledger fsync failed; refusing to spend unrecorded "
                  "budget");
-}
-
-// Best-effort directory sync so a rename is itself durable.
-void SyncParentDir(const std::string& path) {
-  const std::string dir =
-      std::filesystem::path(path).parent_path().string();
-  const int fd = ::open(dir.empty() ? "." : dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
 }
 
 }  // namespace
@@ -286,13 +276,12 @@ void BudgetAccountant::LoadLedger() {
     charge.mechanism = record.mechanism;
     (record.mechanism == Mechanism::kLaplace ? charge.epsilon : charge.rho) =
         record.value;
-    double cost = 0.0;
-    std::string why;
-    HDMM_CHECK_MSG(RegimeCost(charge, &cost, &why),
+    const StatusOr<double> cost = RegimeCost(charge);
+    HDMM_CHECK_MSG(cost.ok(),
                    "budget ledger contains charges this accounting regime "
                    "cannot express (Gaussian history needs the zcdp regime)");
     Ledger& ledger = ledgers_[record.dataset];
-    ledger.spent += cost;
+    ledger.spent += *cost;
     ++ledger.charges;
   }
 
@@ -316,15 +305,14 @@ void BudgetAccountant::LoadLedger() {
                  "cannot open the budget ledger for appending");
 }
 
-bool BudgetAccountant::RegimeCost(const PrivacyCharge& charge, double* cost,
-                                  std::string* why) const {
+StatusOr<double> BudgetAccountant::RegimeCost(
+    const PrivacyCharge& charge) const {
   if (charge.mechanism == Mechanism::kLaplace) {
     HDMM_CHECK_MSG(std::isfinite(charge.epsilon) && charge.epsilon > 0.0,
                    "epsilon must be positive and finite");
-    *cost = options_.regime == BudgetRegime::kPureDp
-                ? charge.epsilon
-                : PureDpToRho(charge.epsilon);
-    return true;
+    return options_.regime == BudgetRegime::kPureDp
+               ? charge.epsilon
+               : PureDpToRho(charge.epsilon);
   }
   HDMM_CHECK_MSG(std::isfinite(charge.rho) && charge.rho > 0.0,
                  "rho must be positive and finite");
@@ -332,26 +320,23 @@ bool BudgetAccountant::RegimeCost(const PrivacyCharge& charge, double* cost,
     // A Gaussian release satisfies no finite pure epsilon; pretending
     // otherwise (e.g. charging its reported epsilon) would not compose
     // soundly. Refuse instead of approximating.
-    if (why != nullptr) {
-      *why = "a Gaussian (zCDP) charge cannot be accounted in the pure-dp "
-             "regime; configure the zcdp regime";
-    }
-    return false;
+    return Status::FailedPrecondition(
+        "a Gaussian (zCDP) charge cannot be accounted in the pure-dp "
+        "regime; configure the zcdp regime");
   }
-  *cost = charge.rho;
-  return true;
+  return charge.rho;
 }
 
 Status BudgetAccountant::Charge(const std::string& dataset,
                                 const PrivacyCharge& charge) {
   static Counter* const charges = Metrics::GetCounter("accountant.charges");
   static Counter* const refusals = Metrics::GetCounter("accountant.refusals");
-  double cost = 0.0;
-  std::string why;
-  if (!RegimeCost(charge, &cost, &why)) {
+  const StatusOr<double> regime_cost = RegimeCost(charge);
+  if (!regime_cost.ok()) {
     refusals->Add(1);
-    return Status::FailedPrecondition(why);
+    return regime_cost.status();
   }
+  const double cost = *regime_cost;
   const double ceiling = CeilingFor(dataset);
   std::lock_guard<std::mutex> lock(mu_);
   Ledger& ledger = ledgers_[dataset];

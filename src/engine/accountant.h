@@ -171,9 +171,9 @@ class BudgetAccountant {
     int64_t charges = 0;
   };
 
-  /// The charge's cost in regime units, or a refusal (false + *why).
-  bool RegimeCost(const PrivacyCharge& charge, double* cost,
-                  std::string* why) const;
+  /// The charge's cost in regime units, or a kFailedPrecondition refusal
+  /// when the regime cannot express the charge.
+  StatusOr<double> RegimeCost(const PrivacyCharge& charge) const;
 
   /// Ceiling for `dataset`: its override or the default. Lock-free —
   /// options_ is immutable after construction.

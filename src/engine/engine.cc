@@ -15,7 +15,6 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/gaussian.h"
-#include "core/gram_cache.h"
 #include "linalg/cholesky.h"
 
 namespace hdmm {
@@ -726,13 +725,9 @@ StatusOr<PlanResult> Engine::PlanOr(const UnionWorkload& w,
     return result;
   }
 
-  const GramCache::Stats gram_before = GramCache::Global().stats();
   HdmmOptions optimizer = options_.optimizer;
   optimizer.cancel = cancel;
   HdmmResult optimized = OptimizeStrategy(w, optimizer);
-  const GramCache::Stats gram_after = GramCache::Global().stats();
-  result.gram_cache_hits = gram_after.hits - gram_before.hits;
-  result.gram_cache_misses = gram_after.misses - gram_before.misses;
   if (optimized.cancelled) {
     // No side effects on a cancelled plan: the partial strategy is a
     // best-so-far, not the deterministic full-grid winner, so caching (or

@@ -311,16 +311,6 @@ struct PlanResult {
   Fingerprint fingerprint;
   PlanSource source = PlanSource::kOptimized;
   double seconds = 0.0;  ///< Wall time spent inside PlanOr.
-  /// GramCache traffic observed during this plan's optimization window
-  /// (both zero on strategy-cache hits — the optimizer never ran). The
-  /// counters are deltas of the process-wide cache, so PlanOr calls running
-  /// concurrently see each other's traffic folded in; the numbers are
-  /// diagnostics for serial planning (benches, CLI), not an exact per-plan
-  /// attribution. A warm gram cache makes even a strategy-cache *miss*
-  /// substantially cheaper, since every recognized workload Gram is shared
-  /// across plan calls.
-  uint64_t gram_cache_hits = 0;
-  uint64_t gram_cache_misses = 0;
   /// Not OK when a freshly optimized strategy could not be written through
   /// to the disk tier (the in-memory plan is still valid, but warm restarts
   /// will re-optimize until the directory is fixed).

@@ -1,6 +1,5 @@
 #include "engine/strategy_cache.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -9,6 +8,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "common/file_sync.h"
 #include "common/metrics.h"
 #include "core/strategy_io.h"
 
@@ -16,8 +16,8 @@ namespace hdmm {
 
 namespace {
 
-// Registry-side mirrors of stats_: the struct stays the per-instance API,
-// the counters are what `stats`/--stats-json report process-wide.
+// The cache's only event counts: `stats`/--stats-json report them
+// process-wide, and tests read their deltas.
 Counter* const g_memory_hits =
     Metrics::GetCounter("strategy_cache.memory_hits");
 Counter* const g_disk_hits = Metrics::GetCounter("strategy_cache.disk_hits");
@@ -62,7 +62,6 @@ void StrategyCache::InsertLocked(uint64_t key,
   while (lru_.size() > options_.memory_capacity) {
     index_.erase(lru_.back().key);
     lru_.pop_back();
-    ++stats_.evictions;
     g_evictions->Add(1);
   }
 }
@@ -73,7 +72,6 @@ std::shared_ptr<const Strategy> StrategyCache::Get(const Fingerprint& fp,
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(fp.value);
     if (it != index_.end()) {
-      ++stats_.memory_hits;
       g_memory_hits->Add(1);
       Promote(it->second);
       if (tier != nullptr) *tier = Tier::kMemory;
@@ -89,7 +87,6 @@ std::shared_ptr<const Strategy> StrategyCache::Get(const Fingerprint& fp,
     if (status.ok()) {
       std::shared_ptr<const Strategy> shared = std::move(loaded).value();
       std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.disk_hits;
       g_disk_hits->Add(1);
       InsertLocked(fp.value, shared);
       if (tier != nullptr) *tier = Tier::kDisk;
@@ -102,17 +99,11 @@ std::shared_ptr<const Strategy> StrategyCache::Get(const Fingerprint& fp,
       std::error_code ec;
       std::filesystem::rename(path, path + ".corrupt", ec);
       if (ec) std::filesystem::remove(path, ec);  // Last resort: unpoison.
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.corrupt_quarantined;
       g_corrupt_quarantined->Add(1);
     } else if (status.code() != StatusCode::kNotFound) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.disk_read_errors;
       g_disk_read_errors->Add(1);
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.misses;
   g_misses->Add(1);
   if (tier != nullptr) *tier = Tier::kMiss;
   return nullptr;
@@ -140,13 +131,11 @@ Status StrategyCache::Put(const Fingerprint& fp,
     if (disk_writes_disabled_) {
       if (++degraded_puts_ % kReprobeInterval != 0) return Status::Ok();
       probing = true;
-      ++stats_.disk_reprobes;
       g_disk_reprobes->Add(1);
     }
   }
   auto disk_failed = [this, probing](Status status) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.disk_write_failures;
     g_disk_write_failures->Add(1);
     if (++consecutive_disk_failures_ >= kDiskFailureLimit) {
       // The disk tier is hurting, not helping: stop retrying on every Plan
@@ -210,11 +199,7 @@ Status StrategyCache::Put(const Fingerprint& fp,
   }
   // Make the rename itself durable (best effort, like the ledger's): the
   // tmp file's bytes are already fsync'd by SaveStrategyFile.
-  const int dir_fd = ::open(options_.disk_dir.c_str(), O_RDONLY);
-  if (dir_fd >= 0) {
-    ::fsync(dir_fd);
-    ::close(dir_fd);
-  }
+  SyncParentDir(path);
   if (HDMM_FAILPOINT("strategy_cache.put.after_rename")) {
     // Crash after the atomic install: recovery must parse a complete file.
     Failpoints::CrashNow();
@@ -241,11 +226,6 @@ void StrategyCache::ClearMemory() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
   index_.clear();
-}
-
-StrategyCache::Stats StrategyCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 size_t StrategyCache::MemorySize() const {

@@ -17,6 +17,10 @@
 // as a miss, so one bad file costs one replan instead of poisoning every
 // restart; repeated disk-write failures degrade the cache to memory-only
 // rather than failing every Plan.
+//
+// Every tier event (hits, misses, evictions, quarantines, disk read/write
+// failures, re-probes) is counted process-wide in the metrics registry's
+// `strategy_cache.*` counters (docs/observability.md).
 #ifndef HDMM_ENGINE_STRATEGY_CACHE_H_
 #define HDMM_ENGINE_STRATEGY_CACHE_H_
 
@@ -59,9 +63,10 @@ class StrategyCache {
   ///
   /// A disk file that exists but fails to parse is QUARANTINED: renamed to
   /// `<path>.corrupt` (preserving the evidence for postmortem), counted in
-  /// stats().corrupt_quarantined, and reported as a miss so the caller
-  /// replans and overwrites it. An unreadable file (I/O error) is counted
-  /// and reported as a miss without touching the file.
+  /// the `strategy_cache.corrupt_quarantined` registry counter, and reported
+  /// as a miss so the caller replans and overwrites it. An unreadable file
+  /// (I/O error) is counted in `strategy_cache.disk_read_errors` and
+  /// reported as a miss without touching the file.
   std::shared_ptr<const Strategy> Get(const Fingerprint& fp,
                                       Tier* tier = nullptr);
 
@@ -100,18 +105,6 @@ class StrategyCache {
   /// Drops every in-memory entry (disk files are untouched).
   void ClearMemory();
 
-  struct Stats {
-    uint64_t memory_hits = 0;
-    uint64_t disk_hits = 0;
-    uint64_t misses = 0;
-    uint64_t evictions = 0;
-    uint64_t corrupt_quarantined = 0;  // Disk files renamed to .corrupt.
-    uint64_t disk_read_errors = 0;     // Unreadable (not corrupt) files.
-    uint64_t disk_write_failures = 0;  // Failed disk-tier Puts.
-    uint64_t disk_reprobes = 0;        // Degraded-mode probe writes tried.
-  };
-  Stats stats() const;
-
   size_t MemorySize() const;
 
   /// Disk file backing a fingerprint ("" when the disk tier is disabled).
@@ -131,7 +124,6 @@ class StrategyCache {
   mutable std::mutex mu_;
   std::list<Entry> lru_;  // Front = most recently used.
   std::unordered_map<uint64_t, std::list<Entry>::iterator> index_;
-  Stats stats_;
   int consecutive_disk_failures_ = 0;
   bool disk_writes_disabled_ = false;
   int degraded_puts_ = 0;  // Puts skipped since degradation; drives probes.

@@ -178,12 +178,6 @@ void CholeskySolveMatrixInto(const Matrix& l, const Matrix& b, Matrix* out) {
   BackwardSubstituteTransposeMatrix(l, out);
 }
 
-Matrix CholeskySolveMatrix(const Matrix& l, const Matrix& b) {
-  Matrix out;
-  CholeskySolveMatrixInto(l, b, &out);
-  return out;
-}
-
 void CholeskySolveRowsInto(const Matrix& l, const Matrix& b, Matrix* out,
                            GemmParallelism par) {
   HDMM_CHECK(l.rows() == l.cols() && l.rows() == b.cols());

@@ -41,10 +41,6 @@ Vector CholeskySolve(const Matrix& l, const Vector& b);
 /// multi-RHS substitutions (no per-column Vector copies).
 void CholeskySolveMatrixInto(const Matrix& l, const Matrix& b, Matrix* out);
 
-/// Solves X Y = B for SPD X given its Cholesky factor L (value-returning
-/// wrapper over CholeskySolveMatrixInto).
-Matrix CholeskySolveMatrix(const Matrix& l, const Matrix& b);
-
 /// Transposed-RHS solve: computes Y = B X^{-1} (equivalently, solves
 /// X Y^T = B^T) for SPD X = L L^T, where each ROW of the row-major B is one
 /// right-hand side. Rows are solved independently (forward then backward

@@ -32,22 +32,6 @@ Vector KronMatVec(const std::vector<Matrix>& factors, const Vector& x);
 /// y = (A_1 x ... x A_d)^T x, via kmatvec on the transposed factors.
 Vector KronMatTVec(const std::vector<Matrix>& factors, const Vector& x);
 
-/// Thread-parallel kmatvec. Section 9 of the paper observes that "the
-/// decomposed structure of our strategies should lead to even faster
-/// specialized parallel solutions"; this is that specialization. Each
-/// per-factor pass is a batch of N/n_i independent small mat-vecs, split
-/// across threads along the batch dimension — output slices are disjoint, so
-/// the result is bit-identical to the serial KronMatVec. Work runs on the
-/// shared ThreadPool; `num_threads == 1` forces the serial path, any other
-/// value uses the pool's width. Small inputs fall back to the serial path
-/// (threading overhead dominates below ~2^16 flops per pass).
-Vector KronMatVecParallel(const std::vector<Matrix>& factors, const Vector& x,
-                          int num_threads = 0);
-
-/// Parallel transpose kmatvec (see KronMatVecParallel).
-Vector KronMatTVecParallel(const std::vector<Matrix>& factors,
-                           const Vector& x, int num_threads = 0);
-
 /// Implicit Kronecker-product operator over owned factors.
 class KronOperator : public LinearOperator {
  public:

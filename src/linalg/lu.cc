@@ -4,120 +4,6 @@
 
 namespace hdmm {
 
-LuFactorization::LuFactorization(const Matrix& a) : lu_(a), ok_(true) {
-  HDMM_CHECK(a.rows() == a.cols());
-  const int64_t n = a.rows();
-  perm_.resize(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i) perm_[static_cast<size_t>(i)] = i;
-  for (int64_t k = 0; k < n; ++k) {
-    // Partial pivot.
-    int64_t piv = k;
-    double best = std::fabs(lu_(k, k));
-    for (int64_t i = k + 1; i < n; ++i) {
-      double v = std::fabs(lu_(i, k));
-      if (v > best) {
-        best = v;
-        piv = i;
-      }
-    }
-    if (best < 1e-300) {
-      ok_ = false;
-      return;
-    }
-    if (piv != k) {
-      for (int64_t j = 0; j < n; ++j) std::swap(lu_(k, j), lu_(piv, j));
-      std::swap(perm_[static_cast<size_t>(k)], perm_[static_cast<size_t>(piv)]);
-    }
-    for (int64_t i = k + 1; i < n; ++i) {
-      lu_(i, k) /= lu_(k, k);
-      const double lik = lu_(i, k);
-      if (lik == 0.0) continue;
-      for (int64_t j = k + 1; j < n; ++j) lu_(i, j) -= lik * lu_(k, j);
-    }
-  }
-}
-
-Vector LuFactorization::Solve(const Vector& b) const {
-  HDMM_CHECK(ok_);
-  const int64_t n = lu_.rows();
-  Vector y(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i)
-    y[static_cast<size_t>(i)] = b[static_cast<size_t>(perm_[static_cast<size_t>(i)])];
-  // Forward: L y = P b (unit diagonal).
-  for (int64_t i = 0; i < n; ++i) {
-    double s = y[static_cast<size_t>(i)];
-    for (int64_t k = 0; k < i; ++k) s -= lu_(i, k) * y[static_cast<size_t>(k)];
-    y[static_cast<size_t>(i)] = s;
-  }
-  // Backward: U x = y.
-  for (int64_t i = n - 1; i >= 0; --i) {
-    double s = y[static_cast<size_t>(i)];
-    for (int64_t k = i + 1; k < n; ++k) s -= lu_(i, k) * y[static_cast<size_t>(k)];
-    y[static_cast<size_t>(i)] = s / lu_(i, i);
-  }
-  return y;
-}
-
-Vector LuFactorization::SolveTranspose(const Vector& b) const {
-  HDMM_CHECK(ok_);
-  const int64_t n = lu_.rows();
-  // A^T x = b  =>  (P A)^T (P^{-T} ... ) — work through U^T L^T P.
-  // A = P^{-1} L U, so A^T = U^T L^T P^{-T}. Solve U^T z = b, L^T w = z,
-  // then x = P^T w (i.e., x[perm[i]] = w[i]).
-  Vector z = b;
-  for (int64_t i = 0; i < n; ++i) {  // U^T lower-triangular solve.
-    double s = z[static_cast<size_t>(i)];
-    for (int64_t k = 0; k < i; ++k) s -= lu_(k, i) * z[static_cast<size_t>(k)];
-    z[static_cast<size_t>(i)] = s / lu_(i, i);
-  }
-  for (int64_t i = n - 1; i >= 0; --i) {  // L^T upper-triangular solve.
-    double s = z[static_cast<size_t>(i)];
-    for (int64_t k = i + 1; k < n; ++k) s -= lu_(k, i) * z[static_cast<size_t>(k)];
-    z[static_cast<size_t>(i)] = s;  // unit diagonal
-  }
-  Vector x(static_cast<size_t>(n));
-  for (int64_t i = 0; i < n; ++i)
-    x[static_cast<size_t>(perm_[static_cast<size_t>(i)])] = z[static_cast<size_t>(i)];
-  return x;
-}
-
-Matrix LuFactorization::SolveMatrix(const Matrix& b) const {
-  HDMM_CHECK(ok_);
-  Matrix out(b.rows(), b.cols());
-  for (int64_t j = 0; j < b.cols(); ++j) {
-    Vector sol = Solve(b.ColVector(j));
-    for (int64_t i = 0; i < b.rows(); ++i) out(i, j) = sol[static_cast<size_t>(i)];
-  }
-  return out;
-}
-
-double LuFactorization::Determinant() const {
-  HDMM_CHECK(ok_);
-  const int64_t n = lu_.rows();
-  double det = 1.0;
-  for (int64_t i = 0; i < n; ++i) det *= lu_(i, i);
-  // Permutation sign = parity of the cycle decomposition of perm_.
-  std::vector<bool> seen(static_cast<size_t>(n), false);
-  for (int64_t i = 0; i < n; ++i) {
-    if (seen[static_cast<size_t>(i)]) continue;
-    int64_t len = 0;
-    int64_t j = i;
-    while (!seen[static_cast<size_t>(j)]) {
-      seen[static_cast<size_t>(j)] = true;
-      j = perm_[static_cast<size_t>(j)];
-      ++len;
-    }
-    if (len % 2 == 0) det = -det;
-  }
-  return det;
-}
-
-Matrix Inverse(const Matrix& a) {
-  LuFactorization lu(a);
-  HDMM_CHECK_MSG(lu.ok(), "Inverse: singular matrix");
-  return lu.SolveMatrix(Matrix::Identity(a.rows()));
-}
-
 Vector UpperTriangularSolve(const Matrix& u, const Vector& b) {
   HDMM_CHECK(u.rows() == u.cols());
   const int64_t n = u.rows();

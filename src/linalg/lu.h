@@ -1,41 +1,11 @@
-// LU factorization with partial pivoting for general square linear systems
-// (used by the marginals algebra and several baselines).
+// Triangular solves against an upper-triangular factor (the R of a QR
+// factorization), used by the marginals optimizer (core/opt_marginals).
 #ifndef HDMM_LINALG_LU_H_
 #define HDMM_LINALG_LU_H_
 
 #include "linalg/matrix.h"
 
 namespace hdmm {
-
-/// LU factorization with partial pivoting: P A = L U, stored compactly.
-class LuFactorization {
- public:
-  /// Factors `a` (square). Check ok() before solving.
-  explicit LuFactorization(const Matrix& a);
-
-  /// True if the matrix was numerically nonsingular.
-  bool ok() const { return ok_; }
-
-  /// Solves A x = b. Requires ok().
-  Vector Solve(const Vector& b) const;
-
-  /// Solves A^T x = b. Requires ok().
-  Vector SolveTranspose(const Vector& b) const;
-
-  /// Solves A X = B column-wise. Requires ok().
-  Matrix SolveMatrix(const Matrix& b) const;
-
-  /// det(A) = sign(P) * prod_i u_ii. Requires ok().
-  double Determinant() const;
-
- private:
-  Matrix lu_;
-  std::vector<int64_t> perm_;
-  bool ok_;
-};
-
-/// Inverse of a general nonsingular square matrix. Dies if singular.
-Matrix Inverse(const Matrix& a);
 
 /// Solves an upper-triangular system U x = b. Dies on zero diagonal.
 Vector UpperTriangularSolve(const Matrix& u, const Vector& b);

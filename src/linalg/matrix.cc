@@ -66,10 +66,6 @@ void Matrix::AddInPlace(const Matrix& other, double alpha) {
   for (size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
 }
 
-Vector Matrix::RowVector(int64_t i) const {
-  return Vector(Row(i), Row(i) + cols_);
-}
-
 Vector Matrix::ColVector(int64_t j) const {
   Vector v(static_cast<size_t>(rows_));
   for (int64_t i = 0; i < rows_; ++i) v[static_cast<size_t>(i)] = (*this)(i, j);
@@ -194,18 +190,6 @@ Vector MatTVec(const Matrix& a, const Vector& x) {
     for (int64_t j = 0; j < a.cols(); ++j) y[static_cast<size_t>(j)] += xi * row[j];
   }
   return y;
-}
-
-Matrix MatAdd(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.AddInPlace(b, 1.0);
-  return c;
-}
-
-Matrix MatSub(const Matrix& a, const Matrix& b) {
-  Matrix c = a;
-  c.AddInPlace(b, -1.0);
-  return c;
 }
 
 Matrix MatScale(const Matrix& a, double alpha) {

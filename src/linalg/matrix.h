@@ -93,9 +93,6 @@ class Matrix {
   /// this += alpha * other (same shape).
   void AddInPlace(const Matrix& other, double alpha = 1.0);
 
-  /// Copies row i into a vector.
-  Vector RowVector(int64_t i) const;
-
   /// Copies column j into a vector.
   Vector ColVector(int64_t j) const;
 
@@ -161,12 +158,6 @@ Vector MatVec(const Matrix& a, const Vector& x);
 
 /// y = A^T x without forming A^T.
 Vector MatTVec(const Matrix& a, const Vector& x);
-
-/// A + B.
-Matrix MatAdd(const Matrix& a, const Matrix& b);
-
-/// A - B.
-Matrix MatSub(const Matrix& a, const Matrix& b);
 
 /// alpha * A.
 Matrix MatScale(const Matrix& a, double alpha);

@@ -306,16 +306,6 @@ Vector QrLeastSquares(const Matrix& a, const Vector& b, double rcond) {
   return x;
 }
 
-double AbsDeterminant(const Matrix& a) {
-  HDMM_CHECK_MSG(a.rows() == a.cols(), "AbsDeterminant requires square input");
-  Matrix factored = a;
-  Vector betas;
-  HouseholderFactor(&factored, &betas);
-  double det = 1.0;
-  for (int64_t j = 0; j < a.cols(); ++j) det *= std::abs(factored(j, j));
-  return det;
-}
-
 namespace {
 
 // Businger-Golub pivoted factorization in compact form: R in the upper

@@ -33,10 +33,6 @@ QrResult HouseholderQr(const Matrix& a);
 /// problems should go through PinvViaSvd or LSMR instead).
 Vector QrLeastSquares(const Matrix& a, const Vector& b, double rcond = 1e-12);
 
-/// Determinant of a square matrix through its QR factorization, up to sign:
-/// returns prod_j r_jj = |det(A)|.
-double AbsDeterminant(const Matrix& a);
-
 /// Column-pivoted (rank-revealing) QR factorization A P = Q R of an m x n
 /// matrix: `q` is m x k with orthonormal columns (k = min(m, n)), `r` is
 /// k x n upper trapezoidal with a non-negative diagonal of non-increasing

@@ -5,7 +5,6 @@
 #include "baselines/greedy_h.h"
 #include "baselines/hb.h"
 #include "baselines/lrm.h"
-#include "baselines/matrix_mechanism.h"
 #include "baselines/privelet.h"
 #include "baselines/quadtree.h"
 #include "core/error.h"
@@ -250,22 +249,6 @@ TEST(Lrm, SurvivesRankDeficientFactorIterates) {
   }
   Matrix rec = MatMul(res.b, res.l);
   EXPECT_LT(rec.MaxAbsDiff(w), 1e-6);
-}
-
-TEST(MatrixMechanism, ImprovesOverIdentityStart) {
-  Matrix gram = PrefixGram(24);
-  Rng rng(5);
-  MatrixMechanismOptions opts;
-  MatrixMechanismResult res = MatrixMechanism(gram, opts, &rng);
-  // Identity error = tr(G); MM should strictly improve.
-  EXPECT_LT(res.squared_error, gram.Trace());
-}
-
-TEST(MatrixMechanism, RefusesHugeDomains) {
-  MatrixMechanismOptions opts;
-  opts.max_domain = 64;
-  Rng rng(6);
-  EXPECT_DEATH(MatrixMechanism(PrefixGram(128), opts, &rng), "feasibility");
 }
 
 }  // namespace

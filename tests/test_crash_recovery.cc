@@ -19,6 +19,7 @@
 #include "common/failpoint.h"
 #include "core/strategy.h"
 #include "core/strategy_io.h"
+#include "counter_delta.h"
 #include "crash_harness.h"
 #include "engine/accountant.h"
 #include "engine/strategy_cache.h"
@@ -175,6 +176,7 @@ TEST(CrashRecovery, CacheSurvivesEveryPutCrashSite) {
 
     // Invariant 2: a fresh cache over the same directory serves without
     // aborting or quarantining, and a new plan-and-put cycle works.
+    const CounterDelta quarantined("strategy_cache.corrupt_quarantined");
     StrategyCacheOptions options;
     options.disk_dir = dir;
     StrategyCache cache(options);
@@ -186,7 +188,7 @@ TEST(CrashRecovery, CacheSurvivesEveryPutCrashSite) {
     } else {
       // Crash before the rename: a clean miss, not a corrupt read.
       EXPECT_EQ(recovered, nullptr) << site;
-      EXPECT_EQ(cache.stats().corrupt_quarantined, 0u) << site;
+      EXPECT_EQ(quarantined(), 0u) << site;
     }
     ASSERT_TRUE(cache.Put(Fingerprint{9}, CacheStrategy("replacement")).ok());
     cache.ClearMemory();
@@ -265,6 +267,7 @@ TEST(InjectedFailure, AppendIoErrorRefusesChargeWithoutRecordingIt) {
 }
 
 TEST(InjectedFailure, CacheDegradesToMemoryOnlyAfterRepeatedWriteFailures) {
+  const CounterDelta write_failures("strategy_cache.disk_write_failures");
   const std::string dir = FreshDir("inject_cache_degrade");
   StrategyCacheOptions options;
   options.disk_dir = dir;
@@ -280,7 +283,7 @@ TEST(InjectedFailure, CacheDegradesToMemoryOnlyAfterRepeatedWriteFailures) {
     EXPECT_NE(cache.Get(Fingerprint{static_cast<uint64_t>(i + 1)}), nullptr);
   }
   EXPECT_TRUE(cache.DiskWriteDegraded());
-  EXPECT_EQ(cache.stats().disk_write_failures,
+  EXPECT_EQ(write_failures(),
             static_cast<uint64_t>(StrategyCache::kDiskFailureLimit));
   // Degraded: Put skips the disk (and the failpoint) and reports OK.
   EXPECT_TRUE(cache.Put(Fingerprint{50}, CacheStrategy("mem-only")).ok());
@@ -342,10 +345,12 @@ TEST(InjectedFailure, CacheGetCountsInjectedReadErrorsAsMisses) {
   StrategyCache cache(options);
   ASSERT_TRUE(cache.Put(Fingerprint{7}, CacheStrategy("durable")).ok());
   cache.ClearMemory();
+  const CounterDelta read_errors("strategy_cache.disk_read_errors");
+  const CounterDelta quarantined("strategy_cache.corrupt_quarantined");
   ASSERT_TRUE(Failpoints::Activate("strategy_io.load.io_error", "always").ok());
   EXPECT_EQ(cache.Get(Fingerprint{7}), nullptr);
-  EXPECT_EQ(cache.stats().disk_read_errors, 1u);
-  EXPECT_EQ(cache.stats().corrupt_quarantined, 0u);
+  EXPECT_EQ(read_errors(), 1u);
+  EXPECT_EQ(quarantined(), 0u);
   Failpoints::Deactivate("strategy_io.load.io_error");
   // A transient read error must not quarantine the (healthy) file: once the
   // disk recovers, the entry is served again.

@@ -60,37 +60,6 @@ TEST(Cholesky, TraceSolveSpdMatchesExplicit) {
   EXPECT_NEAR(tr, explicit_prod.Trace(), 1e-8);
 }
 
-TEST(Lu, SolveGeneral) {
-  Rng rng(5);
-  Matrix a = Matrix::RandomUniform(11, 11, &rng, -1.0, 1.0);
-  for (int64_t i = 0; i < 11; ++i) a(i, i) += 3.0;  // Diagonally dominant.
-  LuFactorization lu(a);
-  ASSERT_TRUE(lu.ok());
-  Vector b(11);
-  for (auto& v : b) v = rng.Uniform(-1.0, 1.0);
-  Vector sol = lu.Solve(b);
-  Vector back = MatVec(a, sol);
-  for (size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(back[i], b[i], 1e-9);
-  // Transpose solve.
-  Vector solt = lu.SolveTranspose(b);
-  Vector backt = MatVec(a.Transposed(), solt);
-  for (size_t i = 0; i < b.size(); ++i) EXPECT_NEAR(backt[i], b[i], 1e-9);
-}
-
-TEST(Lu, DetectsSingular) {
-  Matrix a = Matrix::FromRows({{1.0, 2.0}, {2.0, 4.0}});
-  LuFactorization lu(a);
-  EXPECT_FALSE(lu.ok());
-}
-
-TEST(Lu, InverseRoundTrip) {
-  Rng rng(6);
-  Matrix a = Matrix::RandomUniform(7, 7, &rng, -1.0, 1.0);
-  for (int64_t i = 0; i < 7; ++i) a(i, i) += 2.0;
-  Matrix inv = Inverse(a);
-  EXPECT_LT(MatMul(a, inv).MaxAbsDiff(Matrix::Identity(7)), 1e-9);
-}
-
 TEST(Lu, TriangularSolvers) {
   Matrix u = Matrix::FromRows({{2.0, 1.0, 3.0}, {0.0, 4.0, 5.0}, {0.0, 0.0, 6.0}});
   Vector b = {1.0, 2.0, 3.0};

@@ -18,6 +18,7 @@
 #include "core/gaussian.h"
 #include "core/measure.h"
 #include "core/strategy_io.h"
+#include "counter_delta.h"
 #include "engine/accountant.h"
 #include "engine/fingerprint.h"
 #include "engine/privacy.h"
@@ -97,6 +98,8 @@ TEST(Fingerprint, HexIsStable16Digits) {
 // --- Strategy cache ----------------------------------------------------------
 
 TEST(StrategyCache, MemoryHitAndMiss) {
+  const CounterDelta memory_hits("strategy_cache.memory_hits");
+  const CounterDelta misses("strategy_cache.misses");
   StrategyCache cache;
   Fingerprint fp{42};
   StrategyCache::Tier tier;
@@ -108,11 +111,12 @@ TEST(StrategyCache, MemoryHitAndMiss) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(tier, StrategyCache::Tier::kMemory);
   EXPECT_EQ(hit->Name(), "p4");
-  EXPECT_EQ(cache.stats().memory_hits, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(memory_hits(), 1u);
+  EXPECT_EQ(misses(), 1u);
 }
 
 TEST(StrategyCache, LruEviction) {
+  const CounterDelta evictions("strategy_cache.evictions");
   StrategyCacheOptions options;
   options.memory_capacity = 2;
   StrategyCache cache(options);
@@ -128,7 +132,7 @@ TEST(StrategyCache, LruEviction) {
   EXPECT_NE(cache.Get(Fingerprint{1}), nullptr);
   EXPECT_NE(cache.Get(Fingerprint{3}), nullptr);
   EXPECT_EQ(cache.Get(Fingerprint{2}), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(evictions(), 1u);
 }
 
 TEST(StrategyCache, DiskTierSurvivesRestart) {
@@ -253,6 +257,7 @@ TEST(StrategyCache, CorruptDiskFileIsQuarantinedNotFatal) {
   // A corrupt cache file (bit rot, a concurrent writer from a buggy build)
   // must read as a miss, move aside so it cannot poison later lookups, and
   // leave the slot writable.
+  const CounterDelta quarantined("strategy_cache.corrupt_quarantined");
   const std::string dir = FreshDir("cache_quarantine");
   std::filesystem::create_directories(dir);
   StrategyCacheOptions options;
@@ -266,12 +271,12 @@ TEST(StrategyCache, CorruptDiskFileIsQuarantinedNotFatal) {
   StrategyCache::Tier tier;
   EXPECT_EQ(cache.Get(fp, &tier), nullptr);
   EXPECT_EQ(tier, StrategyCache::Tier::kMiss);
-  EXPECT_EQ(cache.stats().corrupt_quarantined, 1u);
+  EXPECT_EQ(quarantined(), 1u);
   EXPECT_FALSE(std::filesystem::exists(cache.DiskPath(fp)));
   EXPECT_TRUE(std::filesystem::exists(cache.DiskPath(fp) + ".corrupt"));
   // The quarantine is once per file: the next Get is a plain miss.
   EXPECT_EQ(cache.Get(fp, &tier), nullptr);
-  EXPECT_EQ(cache.stats().corrupt_quarantined, 1u);
+  EXPECT_EQ(quarantined(), 1u);
   // And the slot recovers through a normal replan+Put.
   ASSERT_TRUE(cache.Put(
       fp, std::make_shared<ExplicitStrategy>(PrefixBlock(4), "replanned"))
@@ -288,6 +293,8 @@ TEST(StrategyCache, ConcurrentGetPutEvictStress) {
   // strategy back for a fingerprint); the real payoff is under
   // -DHDMM_SANITIZE=thread, where any lock-discipline regression in the
   // LRU/disk promotion paths trips the sanitizer.
+  const CounterDelta quarantined("strategy_cache.corrupt_quarantined");
+  const CounterDelta read_errors("strategy_cache.disk_read_errors");
   const std::string dir = FreshDir("cache_stress");
   StrategyCacheOptions options;
   options.memory_capacity = 4;  // Small: forces constant eviction churn.
@@ -325,8 +332,8 @@ TEST(StrategyCache, ConcurrentGetPutEvictStress) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(wrong_strategy.load(), 0);
-  EXPECT_EQ(cache.stats().corrupt_quarantined, 0u);
-  EXPECT_EQ(cache.stats().disk_read_errors, 0u);
+  EXPECT_EQ(quarantined(), 0u);
+  EXPECT_EQ(read_errors(), 0u);
   EXPECT_FALSE(cache.DiskWriteDegraded());
 }
 
@@ -335,6 +342,7 @@ TEST(StrategyCache, DiskTierReenablesAfterRecoveryProbe) {
   // the disk, no write could ever succeed to reset the failure counter, so
   // a recovered disk (volume remounted, space freed) stayed unused until
   // restart. Now every kReprobeInterval-th degraded Put probes the disk.
+  const CounterDelta reprobes("strategy_cache.disk_reprobes");
   const std::string dir = FreshDir("cache_reprobe");
   StrategyCacheOptions options;
   options.disk_dir = dir;
@@ -364,7 +372,7 @@ TEST(StrategyCache, DiskTierReenablesAfterRecoveryProbe) {
   }
   EXPECT_FALSE(cache.DiskWriteDegraded());
   EXPECT_LE(puts, StrategyCache::kReprobeInterval);
-  EXPECT_GE(cache.stats().disk_reprobes, 1u);
+  EXPECT_GE(reprobes(), 1u);
   // The probe write itself landed on disk, and the tier is live again for
   // ordinary Puts.
   EXPECT_TRUE(std::filesystem::exists(cache.DiskPath(Fingerprint{last})));
@@ -378,13 +386,13 @@ TEST(StrategyCache, DiskTierReenablesAfterRecoveryProbe) {
     cache.Put(Fingerprint{static_cast<uint64_t>(200 + i)}, strategy());
   }
   ASSERT_TRUE(cache.DiskWriteDegraded());
-  const uint64_t probes_before = cache.stats().disk_reprobes;
+  const uint64_t probes_before = reprobes();
   for (int i = 0; i < StrategyCache::kReprobeInterval; ++i) {
     EXPECT_TRUE(
         cache.Put(Fingerprint{static_cast<uint64_t>(300 + i)}, strategy())
             .ok());
   }
-  EXPECT_GT(cache.stats().disk_reprobes, probes_before);
+  EXPECT_GT(reprobes(), probes_before);
   EXPECT_TRUE(cache.DiskWriteDegraded());  // Probe failed: still degraded.
   Failpoints::Deactivate("strategy_cache.put.io_error");
 }
@@ -606,7 +614,9 @@ TEST(AccountantZCdp, PureRegimeRefusesGaussianCharges) {
   BudgetAccountant accountant(1.0);
   const Status refused = accountant.Charge("d", PrivacyCharge::Gaussian(0.1));
   EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(refused.message().find("zcdp"), std::string::npos);
+  EXPECT_EQ(refused.message(),
+            "a Gaussian (zCDP) charge cannot be accounted in the pure-dp "
+            "regime; configure the zcdp regime");
   EXPECT_EQ(accountant.Spent("d"), 0.0);
   EXPECT_EQ(accountant.NumCharges("d"), 0);
 }

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "common/rng.h"
+#include "counter_delta.h"
 #include "workload/building_blocks.h"
 #include "workload/workload.h"
 
@@ -73,10 +78,11 @@ TEST(GramCacheRecognize, UnrecognizedStillComputedExactly) {
   // The cache must serve exact SYRK Grams for factors it cannot recognize.
   Rng rng(9);
   Matrix f = Matrix::RandomUniform(11, 7, &rng);
+  const CounterDelta closed_form("gram_cache.closed_form");
   GramCache cache;
   auto g = cache.FactorGram(f);
   EXPECT_LT(g->MaxAbsDiff(Gram(f)), 1e-12);
-  EXPECT_EQ(cache.stats().closed_form, 0u);
+  EXPECT_EQ(closed_form(), 0u);
 }
 
 TEST(GramCacheKeys, ContentIdentity) {
@@ -95,16 +101,17 @@ TEST(GramCacheKeys, ContentIdentity) {
 }
 
 TEST(GramCache, HitsShareOneGram) {
+  const CounterDelta hits("gram_cache.hits");
+  const CounterDelta misses("gram_cache.misses");
+  const CounterDelta closed_form("gram_cache.closed_form");
   GramCache cache;
   Matrix f = PrefixBlock(12);
   auto first = cache.FactorGram(f);
   auto second = cache.FactorGram(Matrix(f));  // Equal content, new object.
   EXPECT_EQ(first.get(), second.get());
-  GramCache::Stats stats = cache.stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.closed_form, 1u);
-  EXPECT_DOUBLE_EQ(stats.HitRate(), 0.5);
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(hits(), 1u);
+  EXPECT_EQ(closed_form(), 1u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.resident_doubles(), 12 * 12);
 }
@@ -129,6 +136,53 @@ TEST(GramCache, FactorGramThroughWorkload) {
   auto shared_a = p.FactorGramShared(0);
   auto shared_b = p.FactorGramShared(0);
   EXPECT_EQ(shared_a.get(), shared_b.get());
+}
+
+TEST(GramCacheConcurrency, SharedAndDistinctFactors) {
+  // Concurrent restarts and plans share the global cache. Threads racing on
+  // the same factor may both miss and both compute, but every Gram handed
+  // out must be exact, equal factors must settle on one resident entry, and
+  // the registry must count every call exactly once.
+  Rng rng(17);
+  const std::vector<Matrix> distinct = {
+      PrefixBlock(16),       AllRangeBlock(8),   IdentityBlock(10),
+      WidthRangeBlock(12, 3), Matrix::RandomUniform(20, 12, &rng),
+  };
+  std::vector<Matrix> expected;
+  for (const Matrix& f : distinct) expected.push_back(Gram(f));
+
+  const CounterDelta hits("gram_cache.hits");
+  const CounterDelta misses("gram_cache.misses");
+  GramCache cache;
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 25;
+  std::atomic<int> inexact{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (size_t k = 0; k < distinct.size(); ++k) {
+          // Each thread walks the factors from a different offset, and every
+          // call passes a fresh copy: sharing is by content, not address.
+          const size_t i = (k + static_cast<size_t>(t)) % distinct.size();
+          const Matrix factor = distinct[i];
+          if (cache.FactorGram(factor)->MaxAbsDiff(expected[i]) != 0.0) {
+            ++inexact;
+          }
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  const uint64_t calls = kThreads * kRounds * distinct.size();
+  EXPECT_EQ(inexact.load(), 0);
+  EXPECT_EQ(hits() + misses(), calls);
+  EXPECT_GE(misses(), distinct.size());
+  EXPECT_EQ(cache.size(), distinct.size());
+  int64_t distinct_doubles = 0;
+  for (const Matrix& g : expected) distinct_doubles += g.size();
+  EXPECT_EQ(cache.resident_doubles(), distinct_doubles);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 
 #include "common/rng.h"
 #include "linalg/cholesky.h"
-#include "linalg/lu.h"
 #include "linalg/pinv.h"
 
 namespace hdmm {
@@ -134,21 +133,6 @@ TEST(Qr, IdentityFactorsTrivially) {
   QrResult qr = HouseholderQr(i4);
   EXPECT_LT(qr.q.MaxAbsDiff(i4), 1e-12);
   EXPECT_LT(qr.r.MaxAbsDiff(i4), 1e-12);
-}
-
-TEST(Qr, AbsDeterminantMatchesLu) {
-  Rng rng(10);
-  Matrix a = Matrix::RandomUniform(8, 8, &rng, -1.0, 1.0);
-  for (int64_t i = 0; i < 8; ++i) a(i, i) += 2.0;
-  const double qr_det = AbsDeterminant(a);
-  LuFactorization lu(a);
-  ASSERT_TRUE(lu.ok());
-  EXPECT_NEAR(qr_det, std::abs(lu.Determinant()), 1e-8 * qr_det);
-}
-
-TEST(Qr, AbsDeterminantOfSingularIsZero) {
-  Matrix a = Matrix::FromRows({{1.0, 2.0}, {2.0, 4.0}});
-  EXPECT_NEAR(AbsDeterminant(a), 0.0, 1e-12);
 }
 
 TEST(QrDeath, RejectsWideInput) {
