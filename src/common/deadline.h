@@ -25,8 +25,6 @@ class Deadline {
   /// Default: infinite — never expires.
   Deadline() = default;
 
-  static Deadline Infinite() { return Deadline(); }
-
   /// Expires `ms` milliseconds from now (clamped below at "already expired"
   /// for negative input).
   static Deadline AfterMillis(int64_t ms) {

@@ -35,7 +35,7 @@ const char* Tag(LogLevel level) {
 
 }  // namespace
 
-std::atomic<int> Log::threshold_{ThresholdFromEnv()};
+const int Log::threshold_ = ThresholdFromEnv();
 
 void Log::Write(LogLevel level, const char* format, ...) {
   // Compose the whole line first so one fprintf hits stderr atomically and

@@ -11,8 +11,6 @@
 #ifndef HDMM_COMMON_LOG_H_
 #define HDMM_COMMON_LOG_H_
 
-#include <atomic>
-
 namespace hdmm {
 
 enum class LogLevel : int {
@@ -26,16 +24,7 @@ class Log {
  public:
   /// True when `level` would be emitted under the current threshold.
   static bool Enabled(LogLevel level) {
-    return static_cast<int>(level) <=
-           threshold_.load(std::memory_order_relaxed);
-  }
-
-  /// Threshold control; initialized from HDMM_LOG at process start.
-  static void SetLevel(LogLevel level) {
-    threshold_.store(static_cast<int>(level), std::memory_order_relaxed);
-  }
-  static LogLevel Level() {
-    return static_cast<LogLevel>(threshold_.load(std::memory_order_relaxed));
+    return static_cast<int>(level) <= threshold_;
   }
 
   /// printf-style emission; appends the trailing newline itself. Prefer the
@@ -44,7 +33,8 @@ class Log {
       __attribute__((format(printf, 2, 3)));
 
  private:
-  static std::atomic<int> threshold_;
+  // Read from HDMM_LOG once, at process start.
+  static const int threshold_;
 };
 
 /// HDMM_LOG(Warn, "disk tier degraded: %s", error.c_str());

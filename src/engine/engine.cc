@@ -15,7 +15,6 @@
 #include "common/timer.h"
 #include "common/trace.h"
 #include "core/gaussian.h"
-#include "linalg/cholesky.h"
 
 namespace hdmm {
 
@@ -749,44 +748,6 @@ StatusOr<PlanResult> Engine::PlanOr(const UnionWorkload& w,
   return result;
 }
 
-Vector Engine::Reconstruct(const Strategy& strategy, const Fingerprint& fp,
-                           const Vector& y) {
-  // Explicit strategies: least squares through the normal equations with a
-  // per-fingerprint Cholesky factor of A^T A, computed once per engine and
-  // reused by every subsequent measurement of the same plan. Structured
-  // strategies (kron/union/marginals) reconstruct through their own
-  // closed-form pseudo-inverses, which are cached lazily on the shared
-  // strategy object the cache hands out — also reused across sessions.
-  const auto* explicit_strategy =
-      dynamic_cast<const ExplicitStrategy*>(&strategy);
-  if (explicit_strategy == nullptr) return strategy.Reconstruct(y);
-
-  std::shared_ptr<const Matrix> chol;
-  {
-    std::lock_guard<std::mutex> lock(recon_mu_);
-    auto it = recon_chol_.find(fp.value);
-    if (it != recon_chol_.end()) chol = it->second;
-  }
-  if (chol == nullptr) {
-    Matrix l;
-    if (!CholeskyFactor(Gram(explicit_strategy->matrix()), &l)) {
-      // Rank-deficient A: fall back to the strategy's own pinv path.
-      return strategy.Reconstruct(y);
-    }
-    auto owned = std::make_shared<const Matrix>(std::move(l));
-    std::lock_guard<std::mutex> lock(recon_mu_);
-    // Keep the factor store bounded by the same capacity as the strategy
-    // LRU: a long-lived engine serving many distinct explicit plans must
-    // not accumulate N^2-sized factors forever. Dropping them all is cheap
-    // to recover from (one re-factorization per live plan).
-    if (recon_chol_.size() >= std::max<size_t>(1, options_.cache.memory_capacity)) {
-      recon_chol_.clear();
-    }
-    chol = recon_chol_.emplace(fp.value, std::move(owned)).first->second;
-  }
-  return CholeskySolve(*chol, MatTVec(explicit_strategy->matrix(), y));
-}
-
 StatusOr<std::unique_ptr<MeasurementSession>> Engine::MeasureOr(
     const UnionWorkload& w, const std::string& dataset_id, const Vector& x,
     const MeasureRequest& request, Rng* rng, const CancelToken* cancel) {
@@ -846,7 +807,7 @@ StatusOr<std::unique_ptr<MeasurementSession>> Engine::MeasureOr(
     return session;
   }
 
-  Vector x_hat = Reconstruct(*plan.strategy, plan.fingerprint, y);
+  Vector x_hat = plan.strategy->Reconstruct(y);
   auto session = std::make_unique<MeasurementSession>(
       w.domain(), std::move(x_hat), charge, plan.strategy, storage);
   session->AttachTicket(std::move(ticket));

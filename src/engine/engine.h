@@ -374,18 +374,10 @@ class Engine {
   ResourceGovernor* governor() { return governor_.get(); }
 
  private:
-  /// x_hat from noisy answers, reusing a per-fingerprint Cholesky factor of
-  /// A^T A for explicit strategies (structured strategies reconstruct
-  /// through their own cached pseudo-inverses on the shared object).
-  Vector Reconstruct(const Strategy& strategy, const Fingerprint& fp,
-                     const Vector& y);
-
   EngineOptions options_;
   StrategyCache cache_;
   BudgetAccountant accountant_;
   std::shared_ptr<ResourceGovernor> governor_;
-  std::mutex recon_mu_;
-  std::unordered_map<uint64_t, std::shared_ptr<const Matrix>> recon_chol_;
 };
 
 }  // namespace hdmm

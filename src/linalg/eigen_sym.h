@@ -23,9 +23,8 @@ struct SymmetricEigen {
 /// Full eigendecomposition of a symmetric matrix. Householder
 /// tridiagonalization + implicit-shift QL + blocked reflector
 /// back-transformation; matrices smaller than the Jacobi cutoff use cyclic
-/// Jacobi instead (max_sweeps / tol apply only to that fallback path).
-SymmetricEigen EigenSym(const Matrix& x, int max_sweeps = 64,
-                        double tol = 1e-12);
+/// Jacobi instead, as does a (practically unreachable) QL non-convergence.
+SymmetricEigen EigenSym(const Matrix& x);
 
 /// Eigenvalues only (ascending). Skips eigenvector accumulation and the
 /// back-transformation entirely — about 4x cheaper than EigenSym and the

@@ -130,20 +130,6 @@ double Matrix::MaxAbsDiff(const Matrix& other) const {
   return m;
 }
 
-std::string Matrix::DebugString(int64_t max_rows, int64_t max_cols) const {
-  std::ostringstream os;
-  os << rows_ << "x" << cols_ << " matrix\n";
-  for (int64_t i = 0; i < std::min(rows_, max_rows); ++i) {
-    for (int64_t j = 0; j < std::min(cols_, max_cols); ++j) {
-      os << (*this)(i, j) << (j + 1 < std::min(cols_, max_cols) ? " " : "");
-    }
-    if (cols_ > max_cols) os << " ...";
-    os << "\n";
-  }
-  if (rows_ > max_rows) os << "...\n";
-  return os.str();
-}
-
 Matrix MatMul(const Matrix& a, const Matrix& b) {
   Matrix c;
   MatMulInto(a, b, &c);

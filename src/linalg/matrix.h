@@ -121,9 +121,6 @@ class Matrix {
   /// Maximum absolute difference against another matrix (testing helper).
   double MaxAbsDiff(const Matrix& other) const;
 
-  /// Human-readable rendering for debugging/tests.
-  std::string DebugString(int64_t max_rows = 8, int64_t max_cols = 8) const;
-
  private:
   // Validates the shape BEFORE the storage allocation sizes itself from it;
   // a negative dimension must trip the check, not a wrapped-around huge

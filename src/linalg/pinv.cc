@@ -8,12 +8,19 @@
 
 namespace hdmm {
 
-Matrix PsdPseudoInverse(const Matrix& x, double rcond) {
+namespace {
+
+// Eigenvalues at or below this fraction of the largest count as zero.
+constexpr double kRcond = 1e-12;
+
+}  // namespace
+
+Matrix PsdPseudoInverse(const Matrix& x) {
   SymmetricEigen eig = EigenSym(x);
   const int64_t n = x.rows();
   double max_ev = 0.0;
   for (double v : eig.eigenvalues) max_ev = std::max(max_ev, v);
-  double cut = rcond * std::max(max_ev, 1e-300);
+  double cut = kRcond * std::max(max_ev, 1e-300);
   // X^+ = V diag(1/lambda_i for lambda_i > cut else 0) V^T. Scaling the
   // retained columns by lambda^{-1/2} in place turns this into an outer SYRK
   // of the scaled eigenvector matrix: no second copy of V, half the flops of
@@ -27,16 +34,16 @@ Matrix PsdPseudoInverse(const Matrix& x, double rcond) {
   return GramOuter(v);
 }
 
-Matrix PseudoInverse(const Matrix& a, double rcond) {
+Matrix PseudoInverse(const Matrix& a) {
   if (a.rows() >= a.cols()) {
     Matrix g;
     GramInto(a, &g);
-    Matrix gp = PsdPseudoInverse(g, rcond);
+    Matrix gp = PsdPseudoInverse(g);
     // A^+ = (A^T A)^+ A^T.
     return MatMulNT(gp, a);
   }
   Matrix g = GramOuter(a);
-  Matrix gp = PsdPseudoInverse(g, rcond);
+  Matrix gp = PsdPseudoInverse(g);
   // A^+ = A^T (A A^T)^+.
   return MatMulTN(a, gp);
 }

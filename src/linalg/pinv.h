@@ -8,13 +8,13 @@
 namespace hdmm {
 
 /// Pseudo-inverse of a symmetric positive semi-definite matrix via
-/// eigendecomposition. Eigenvalues below rcond * max_eigenvalue are treated
-/// as zero.
-Matrix PsdPseudoInverse(const Matrix& x, double rcond = 1e-12);
+/// eigendecomposition. Eigenvalues at or below 1e-12 * max_eigenvalue are
+/// treated as zero.
+Matrix PsdPseudoInverse(const Matrix& x);
 
 /// Pseudo-inverse of a general matrix. Uses A^+ = (A^T A)^+ A^T when
 /// rows >= cols and A^+ = A^T (A A^T)^+ otherwise.
-Matrix PseudoInverse(const Matrix& a, double rcond = 1e-12);
+Matrix PseudoInverse(const Matrix& a);
 
 /// tr[(A^T A)^+ G] with PSD pseudo-inverse semantics; the core quantity in
 /// the expected-error formula ||W A^+||_F^2 = tr[(A^T A)^+ (W^T W)]

@@ -1,7 +1,7 @@
-// Householder QR factorization: orthonormal range bases and full-rank least
-// squares without forming normal equations (which square the condition
-// number). Complements the Gram/Cholesky and SVD paths used elsewhere in the
-// linear-algebra substrate.
+// Column-pivoted Householder QR: the rank-revealing least-squares solve
+// behind the low-rank mechanism baseline. Works on A itself rather than the
+// normal equations (which square the condition number), and truncates the
+// directions beyond the numerical rank instead of dividing by them.
 #ifndef HDMM_LINALG_QR_H_
 #define HDMM_LINALG_QR_H_
 
@@ -11,27 +11,6 @@
 #include "linalg/matrix.h"
 
 namespace hdmm {
-
-/// Thin QR factorization A = Q R of an m x n matrix with m >= n:
-/// `q` is m x n with orthonormal columns and `r` is n x n upper triangular
-/// with non-negative diagonal.
-struct QrResult {
-  Matrix q;
-  Matrix r;
-
-  /// Q R, for testing the factorization.
-  Matrix Reconstruct() const;
-};
-
-/// Computes the thin QR factorization via Householder reflections.
-/// Requires rows >= cols. O(m n^2), backward stable.
-QrResult HouseholderQr(const Matrix& a);
-
-/// Solves the least squares problem min_x ||A x - b||_2 through the QR
-/// factorization. Requires rows >= cols and numerically full column rank
-/// (every |r_jj| > rcond * max_j |r_jj|; dies otherwise — rank-deficient
-/// problems should go through PinvViaSvd or LSMR instead).
-Vector QrLeastSquares(const Matrix& a, const Vector& b, double rcond = 1e-12);
 
 /// Column-pivoted (rank-revealing) QR factorization A P = Q R of an m x n
 /// matrix: `q` is m x k with orthonormal columns (k = min(m, n)), `r` is
@@ -50,22 +29,18 @@ struct PivotedQrResult {
 };
 
 /// Businger-Golub column pivoting with downdated column norms (and the
-/// LAPACK-style recompute guard against cancellation). Unlike HouseholderQr
-/// this accepts any shape and any rank.
+/// LAPACK-style recompute guard against cancellation). Accepts any shape and
+/// any rank.
 PivotedQrResult ColumnPivotedQr(const Matrix& a, double rcond = 1e-12);
 
 /// Minimum-residual "basic" solution of min_X ||A X - B||_F through the
-/// rank-revealing factorization: directions beyond the numerical rank are
-/// truncated instead of divided by, so rank-deficient systems get a finite
-/// least-squares solution where QrLeastSquares dies (the solution with zero
-/// coefficients on the n - rank non-pivot columns, not the minimum-norm
-/// one). Requires rows >= cols; B stacks one right-hand side per column.
-Matrix PivotedQrLeastSquares(const Matrix& a, const Matrix& b,
-                             double rcond = 1e-12);
-
-/// Single right-hand-side convenience overload.
-Vector PivotedQrLeastSquares(const Matrix& a, const Vector& b,
-                             double rcond = 1e-12);
+/// rank-revealing factorization: directions beyond the numerical rank
+/// (diagonal entries at or below 1e-12 * r_00) are truncated instead of
+/// divided by, so rank-deficient systems get a finite least-squares solution
+/// (the one with zero coefficients on the n - rank non-pivot columns, not
+/// the minimum-norm one). Requires rows >= cols; B stacks one right-hand
+/// side per column.
+Matrix PivotedQrLeastSquares(const Matrix& a, const Matrix& b);
 
 }  // namespace hdmm
 

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <functional>
 
 #include "common/check.h"
 
@@ -10,18 +10,20 @@ namespace hdmm {
 
 namespace {
 
+// Sweep cap and the column-pair orthogonality tolerance of the Jacobi
+// iteration.
+constexpr int kMaxSweeps = 60;
+constexpr double kOrthogonalityTol = 1e-13;
+
 // One-sided Jacobi kernel. Orthogonalizes the columns of `work` (m x n,
-// m >= n is NOT required here) in place and, when `v` is non-null,
-// accumulates the applied rotations so that original = work * v^T.
-// Returns after max_sweeps or once every column pair satisfies
-// |u_p . u_q| <= tol * ||u_p|| * ||u_q||.
-void JacobiOrthogonalize(Matrix* work, Matrix* v, int max_sweeps, double tol) {
+// m >= n is NOT required here) in place. Returns after kMaxSweeps or once
+// every column pair satisfies |u_p . u_q| <= tol * ||u_p|| * ||u_q||.
+void JacobiOrthogonalize(Matrix* work) {
   const int64_t m = work->rows();
   const int64_t n = work->cols();
-  if (v != nullptr) *v = Matrix::Identity(n);
   if (n < 2) return;
 
-  for (int sweep = 0; sweep < max_sweeps; ++sweep) {
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool rotated = false;
     for (int64_t p = 0; p < n - 1; ++p) {
       for (int64_t q = p + 1; q < n; ++q) {
@@ -34,7 +36,9 @@ void JacobiOrthogonalize(Matrix* work, Matrix* v, int max_sweeps, double tol) {
           gamma += up * uq;
         }
         if (alpha == 0.0 || beta == 0.0) continue;
-        if (std::abs(gamma) <= tol * std::sqrt(alpha * beta)) continue;
+        if (std::abs(gamma) <= kOrthogonalityTol * std::sqrt(alpha * beta)) {
+          continue;
+        }
         rotated = true;
 
         // Closed-form Jacobi rotation zeroing the (p, q) column inner
@@ -50,22 +54,19 @@ void JacobiOrthogonalize(Matrix* work, Matrix* v, int max_sweeps, double tol) {
           (*work)(i, p) = c * up - s * uq;
           (*work)(i, q) = s * up + c * uq;
         }
-        if (v != nullptr) {
-          for (int64_t i = 0; i < n; ++i) {
-            const double vp = (*v)(i, p);
-            const double vq = (*v)(i, q);
-            (*v)(i, p) = c * vp - s * vq;
-            (*v)(i, q) = s * vp + c * vq;
-          }
-        }
       }
     }
     if (!rotated) break;
   }
 }
 
-// Column norms of an orthogonalized working matrix = singular values.
-Vector ColumnNorms(const Matrix& work) {
+}  // namespace
+
+Vector SingularValues(const Matrix& a) {
+  HDMM_CHECK(a.rows() > 0 && a.cols() > 0);
+  Matrix work = a.rows() >= a.cols() ? a : a.Transposed();
+  JacobiOrthogonalize(&work);
+  // Column norms of the orthogonalized working matrix.
   Vector s(static_cast<size_t>(work.cols()), 0.0);
   for (int64_t j = 0; j < work.cols(); ++j) {
     double acc = 0.0;
@@ -74,95 +75,6 @@ Vector ColumnNorms(const Matrix& work) {
     }
     s[static_cast<size_t>(j)] = std::sqrt(acc);
   }
-  return s;
-}
-
-// Descending order of s, applied consistently to the columns of u and v.
-void SortDescending(Vector* s, Matrix* u, Matrix* v) {
-  const int64_t r = static_cast<int64_t>(s->size());
-  std::vector<int64_t> order(static_cast<size_t>(r));
-  std::iota(order.begin(), order.end(), int64_t{0});
-  std::stable_sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
-    return (*s)[static_cast<size_t>(a)] > (*s)[static_cast<size_t>(b)];
-  });
-
-  Vector s_sorted(static_cast<size_t>(r));
-  Matrix u_sorted(u->rows(), r);
-  Matrix v_sorted(v->rows(), r);
-  for (int64_t k = 0; k < r; ++k) {
-    const int64_t src = order[static_cast<size_t>(k)];
-    s_sorted[static_cast<size_t>(k)] = (*s)[static_cast<size_t>(src)];
-    for (int64_t i = 0; i < u->rows(); ++i) u_sorted(i, k) = (*u)(i, src);
-    for (int64_t i = 0; i < v->rows(); ++i) v_sorted(i, k) = (*v)(i, src);
-  }
-  *s = std::move(s_sorted);
-  *u = std::move(u_sorted);
-  *v = std::move(v_sorted);
-}
-
-// Thin SVD for the m >= n orientation: Jacobi on the columns of A, then
-// normalize to get U, and read V off the accumulated rotations.
-Svd SvdTall(const Matrix& a, int max_sweeps, double tol) {
-  Matrix work = a;
-  Matrix v;
-  JacobiOrthogonalize(&work, &v, max_sweeps, tol);
-
-  Vector s = ColumnNorms(work);
-  const double s_max = s.empty() ? 0.0 : *std::max_element(s.begin(), s.end());
-
-  // Normalize the non-negligible columns into U. Zero singular directions
-  // keep a zero column in U: the thin factorization A = U diag(s) V^T is
-  // unaffected because the corresponding s entry is zero.
-  Matrix u = work;
-  for (int64_t j = 0; j < u.cols(); ++j) {
-    const double sj = s[static_cast<size_t>(j)];
-    if (sj > 1e-300 && sj > tol * s_max) {
-      for (int64_t i = 0; i < u.rows(); ++i) u(i, j) /= sj;
-    } else {
-      s[static_cast<size_t>(j)] = 0.0;
-      for (int64_t i = 0; i < u.rows(); ++i) u(i, j) = 0.0;
-    }
-  }
-  SortDescending(&s, &u, &v);
-  return Svd{std::move(u), std::move(s), std::move(v)};
-}
-
-}  // namespace
-
-int64_t Svd::Rank(double rcond) const {
-  if (singular_values.empty()) return 0;
-  const double cutoff = rcond * singular_values.front();
-  int64_t rank = 0;
-  for (double sv : singular_values) {
-    if (sv > cutoff && sv > 0.0) ++rank;
-  }
-  return rank;
-}
-
-Matrix Svd::Reconstruct() const {
-  Matrix us = u;
-  for (int64_t j = 0; j < us.cols(); ++j) {
-    const double sj = singular_values[static_cast<size_t>(j)];
-    for (int64_t i = 0; i < us.rows(); ++i) us(i, j) *= sj;
-  }
-  return MatMulNT(us, v);
-}
-
-Svd ComputeSvd(const Matrix& a, int max_sweeps, double tol) {
-  HDMM_CHECK(a.rows() > 0 && a.cols() > 0);
-  if (a.rows() >= a.cols()) {
-    return SvdTall(a, max_sweeps, tol);
-  }
-  // Wide input: decompose A^T = U' S V'^T, so A = V' S U'^T.
-  Svd t = SvdTall(a.Transposed(), max_sweeps, tol);
-  return Svd{std::move(t.v), std::move(t.singular_values), std::move(t.u)};
-}
-
-Vector SingularValues(const Matrix& a, int max_sweeps, double tol) {
-  HDMM_CHECK(a.rows() > 0 && a.cols() > 0);
-  Matrix work = a.rows() >= a.cols() ? a : a.Transposed();
-  JacobiOrthogonalize(&work, /*v=*/nullptr, max_sweeps, tol);
-  Vector s = ColumnNorms(work);
   std::sort(s.begin(), s.end(), std::greater<double>());
   return s;
 }
@@ -172,27 +84,6 @@ double NuclearNorm(const Matrix& a) {
   double total = 0.0;
   for (double sv : s) total += sv;
   return total;
-}
-
-double SpectralNorm(const Matrix& a) {
-  const Vector s = SingularValues(a);
-  return s.empty() ? 0.0 : s.front();
-}
-
-Matrix PinvViaSvd(const Matrix& a, double rcond) {
-  const Svd svd = ComputeSvd(a);
-  const double s_max =
-      svd.singular_values.empty() ? 0.0 : svd.singular_values.front();
-  const double cutoff = rcond * s_max;
-
-  // A^+ = V diag(1/s) U^T over the retained spectrum.
-  Matrix v_scaled = svd.v;
-  for (int64_t j = 0; j < v_scaled.cols(); ++j) {
-    const double sj = svd.singular_values[static_cast<size_t>(j)];
-    const double inv = (sj > cutoff && sj > 0.0) ? 1.0 / sj : 0.0;
-    for (int64_t i = 0; i < v_scaled.rows(); ++i) v_scaled(i, j) *= inv;
-  }
-  return MatMulNT(v_scaled, svd.u);
 }
 
 }  // namespace hdmm

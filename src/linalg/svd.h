@@ -1,7 +1,6 @@
-// Singular value decomposition via the one-sided Jacobi method. Provides the
-// spectral quantities behind the Li-Miklau lower bound on strategy error
-// (Section 9 discussion) and a backward-stable pseudo-inverse alternative for
-// rank-deficient strategies.
+// Singular values via the one-sided Jacobi method: the spectral quantities
+// behind the Hardt-Talwar / Li-Miklau lower bound on strategy error
+// (Section 8) and the pct_of_optimal diagnostic.
 #ifndef HDMM_LINALG_SVD_H_
 #define HDMM_LINALG_SVD_H_
 
@@ -9,45 +8,15 @@
 
 namespace hdmm {
 
-/// Thin singular value decomposition A = U diag(s) V^T.
-///
-/// For an m x n input with r = min(m, n): `u` is m x r with orthonormal
-/// columns, `singular_values` holds the r singular values in descending
-/// order, and `v` is n x r with orthonormal columns.
-struct Svd {
-  Matrix u;
-  Vector singular_values;
-  Matrix v;
-
-  /// Number of singular values above rcond * s_max (the numerical rank).
-  int64_t Rank(double rcond = 1e-12) const;
-
-  /// U diag(s) V^T, for testing the factorization.
-  Matrix Reconstruct() const;
-};
-
-/// Computes the thin SVD using one-sided Jacobi rotations: columns of a
-/// working copy of A are rotated pairwise until mutually orthogonal, which
-/// yields U diag(s) directly and accumulates V. O(m n^2) per sweep and
-/// unconditionally backward stable; sweeps needed is small (< 20) for the
-/// matrices this library produces.
-Svd ComputeSvd(const Matrix& a, int max_sweeps = 60, double tol = 1e-13);
-
-/// Singular values only (descending). Cheaper than ComputeSvd when the
-/// factors are not needed: skips the U normalization and V accumulation.
-Vector SingularValues(const Matrix& a, int max_sweeps = 60,
-                      double tol = 1e-13);
+/// The min(m, n) singular values of A in descending order. Columns of a
+/// working copy of A (or A^T, whichever is taller) are rotated pairwise
+/// until mutually orthogonal; their norms are then the singular values.
+/// O(m n^2) per sweep and unconditionally backward stable; sweeps needed is
+/// small (< 20) for the matrices this library produces.
+Vector SingularValues(const Matrix& a);
 
 /// Nuclear norm ||A||_* = sum of singular values.
 double NuclearNorm(const Matrix& a);
-
-/// Spectral norm ||A||_2 = largest singular value.
-double SpectralNorm(const Matrix& a);
-
-/// Moore-Penrose pseudo-inverse through the SVD: V diag(1/s) U^T with
-/// singular values below rcond * s_max treated as zero. Slower than the
-/// Gram-based PseudoInverse but stable for heavily rank-deficient inputs.
-Matrix PinvViaSvd(const Matrix& a, double rcond = 1e-12);
 
 }  // namespace hdmm
 

@@ -3,7 +3,6 @@
 #include "common/rng.h"
 #include "linalg/cholesky.h"
 #include "linalg/eigen_sym.h"
-#include "linalg/lu.h"
 #include "linalg/pinv.h"
 
 namespace hdmm {
@@ -60,7 +59,7 @@ TEST(Cholesky, TraceSolveSpdMatchesExplicit) {
   EXPECT_NEAR(tr, explicit_prod.Trace(), 1e-8);
 }
 
-TEST(Lu, TriangularSolvers) {
+TEST(Cholesky, UpperTriangularSolvers) {
   Matrix u = Matrix::FromRows({{2.0, 1.0, 3.0}, {0.0, 4.0, 5.0}, {0.0, 0.0, 6.0}});
   Vector b = {1.0, 2.0, 3.0};
   Vector x = UpperTriangularSolve(u, b);

@@ -150,6 +150,21 @@ bool LoadWorkloadFlag(const Flags& flags, UnionWorkload* w) {
   return true;
 }
 
+// Loads the --data CSV over the workload's domain.
+bool LoadDataFlag(const Flags& flags, const Domain& domain, Dataset* dataset) {
+  const std::string path = flags.Get("data");
+  if (path.empty()) {
+    std::fprintf(stderr, "missing --data FILE\n");
+    return false;
+  }
+  const Status loaded = LoadCsvDataset(path, domain, dataset);
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), loaded.message().c_str());
+    return false;
+  }
+  return true;
+}
+
 // Parses "a=2,b=10" into a named Domain.
 bool ParseDomainSpec(const std::string& spec, Domain* out) {
   std::vector<std::string> names;
@@ -199,10 +214,6 @@ HdmmOptions OptionsFromFlags(const Flags& flags) {
   return options;
 }
 
-HdmmResult OptimizeFromFlags(const UnionWorkload& w, const Flags& flags) {
-  return OptimizeStrategy(w, OptionsFromFlags(flags));
-}
-
 int CmdOptimize(const Flags& flags) {
   UnionWorkload w;
   if (!LoadWorkloadFlag(flags, &w)) return 1;
@@ -212,7 +223,7 @@ int CmdOptimize(const Flags& flags) {
                                      nullptr);
   std::printf("plan fingerprint: %s\n",
               FingerprintPlan(w, OptionsFromFlags(flags)).Hex().c_str());
-  HdmmResult result = OptimizeFromFlags(w, flags);
+  HdmmResult result = OptimizeStrategy(w, OptionsFromFlags(flags));
   std::printf("\nchosen operator: %s\n", result.chosen_operator.c_str());
   std::printf("strategy queries: %lld, sensitivity %.6f\n",
               static_cast<long long>(result.strategy->NumQueries()),
@@ -264,11 +275,8 @@ int CmdOptimize(const Flags& flags) {
 int CmdRun(const Flags& flags) {
   UnionWorkload w;
   if (!LoadWorkloadFlag(flags, &w)) return 1;
-  const std::string data_path = flags.Get("data");
-  if (data_path.empty()) {
-    std::fprintf(stderr, "missing --data FILE\n");
-    return 1;
-  }
+  Dataset dataset(w.domain());
+  if (!LoadDataFlag(flags, w.domain(), &dataset)) return 1;
   if (!flags.Has("epsilon")) {
     std::fprintf(stderr, "missing --epsilon E\n");
     return 1;
@@ -276,14 +284,6 @@ int CmdRun(const Flags& flags) {
   const double epsilon = std::strtod(flags.Get("epsilon").c_str(), nullptr);
   if (epsilon <= 0.0) {
     std::fprintf(stderr, "--epsilon must be positive\n");
-    return 1;
-  }
-
-  Dataset dataset(w.domain());
-  const Status loaded = LoadCsvDataset(data_path, w.domain(), &dataset);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s: %s\n", data_path.c_str(),
-                 loaded.message().c_str());
     return 1;
   }
   std::fprintf(stderr, "loaded %lld records over %s\n",
@@ -319,7 +319,7 @@ int CmdRun(const Flags& flags) {
     }
     std::fprintf(stderr, "loaded strategy: %s\n", strategy->Name().c_str());
   } else {
-    HdmmResult result = OptimizeFromFlags(w, flags);
+    HdmmResult result = OptimizeStrategy(w, OptionsFromFlags(flags));
     std::fprintf(stderr, "optimized strategy: %s\n",
                  result.chosen_operator.c_str());
     strategy = std::move(result.strategy);
@@ -362,18 +362,8 @@ int CmdRun(const Flags& flags) {
 int CmdServe(const Flags& flags) {
   UnionWorkload w;
   if (!LoadWorkloadFlag(flags, &w)) return 1;
-  const std::string data_path = flags.Get("data");
-  if (data_path.empty()) {
-    std::fprintf(stderr, "missing --data FILE\n");
-    return 1;
-  }
   Dataset dataset(w.domain());
-  const Status loaded = LoadCsvDataset(data_path, w.domain(), &dataset);
-  if (!loaded.ok()) {
-    std::fprintf(stderr, "%s: %s\n", data_path.c_str(),
-                 loaded.message().c_str());
-    return 1;
-  }
+  if (!LoadDataFlag(flags, w.domain(), &dataset)) return 1;
 
   EngineOptions engine_options;
   engine_options.optimizer = OptionsFromFlags(flags);
@@ -514,6 +504,7 @@ int CmdServe(const Flags& flags) {
   // The ledger keys on the dataset id: canonicalize the path so
   // `data.csv`, `./data.csv`, and an absolute spelling of the same file
   // share one budget instead of each getting a fresh ceiling.
+  const std::string data_path = flags.Get("data");
   std::error_code canon_ec;
   std::string dataset_id =
       std::filesystem::weakly_canonical(data_path, canon_ec).string();
