@@ -30,9 +30,7 @@ int main(int argc, char** argv) {
   UnionWorkload w = MakeProductWorkload(d, {AllRangeBlock(n), AllRangeBlock(n)});
   WallTimer t_kron;
   Rng rng1(1);
-  OptKronOptions kopts;
-  kopts.restarts = 2;
-  OptKronResult kres = OptKron(w, kopts, &rng1);
+  OptKronResult kres = OptKron(w, OptKronOptions(), &rng1);
   std::printf("OPT_x : %8.2fs  error %.1f  (vs identity %.1f)\n",
               t_kron.Seconds(), kres.error, id_err);
 

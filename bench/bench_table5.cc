@@ -7,6 +7,7 @@
 
 #include "baselines/datacube.h"
 #include "bench_util.h"
+#include "core/hdmm.h"
 #include "core/opt_marginals.h"
 #include "workload/marginals.h"
 
@@ -31,13 +32,14 @@ int main(int argc, char** argv) {
     UnionWorkload w = UpToKWayMarginals(domain, k);
     Vector tau = algebra.WorkloadTraceVector(w);
 
-    // HDMM = OPT_M.
-    Rng rng(static_cast<uint64_t>(k));
-    OptMarginalsOptions opts;
+    // HDMM = Algorithm 2 with only OPT_M enabled.
+    HdmmOptions opts;
     opts.restarts = full ? 5 : 3;
-    opts.lbfgs.max_iterations = full ? 400 : 200;
-    OptMarginalsResult hdmm_res = OptMarginals(w, opts, &rng);
-    double hdmm_err = hdmm_res.error;
+    opts.use_kron = false;
+    opts.use_union = false;
+    opts.seed = static_cast<uint64_t>(k);
+    opts.marginals.lbfgs.max_iterations = full ? 400 : 200;
+    const double hdmm_err = OptimizeStrategy(w, opts).squared_error;
 
     // Identity: measure the full contingency table (theta = e_full).
     Vector e_full(masks, 0.0);

@@ -44,6 +44,7 @@ HdmmResult OptimizeStrategy(const UnionWorkload& w,
   enum Op { kKron, kUnion, kMarginals };
   struct Job {
     Op op;
+    int restart;
     Rng rng;
     std::unique_ptr<Strategy> strategy;
     double error = std::numeric_limits<double>::infinity();
@@ -56,12 +57,13 @@ HdmmResult OptimizeStrategy(const UnionWorkload& w,
   std::vector<Job> jobs;
   for (int restart = 0; restart < std::max(1, options.restarts); ++restart) {
     if (options.use_kron)
-      jobs.push_back({kKron, rng.Fork(jobs.size()), nullptr, 0.0});
+      jobs.push_back({kKron, restart, rng.Fork(jobs.size()), nullptr, 0.0});
     // With a single signature group OPT_+ degenerates to OPT_x; skip it.
     if (run_union)
-      jobs.push_back({kUnion, rng.Fork(jobs.size()), nullptr, 0.0});
+      jobs.push_back({kUnion, restart, rng.Fork(jobs.size()), nullptr, 0.0});
     if (run_marginals)
-      jobs.push_back({kMarginals, rng.Fork(jobs.size()), nullptr, 0.0});
+      jobs.push_back(
+          {kMarginals, restart, rng.Fork(jobs.size()), nullptr, 0.0});
   }
 
   // Candidates are always compared through the strategy's own closed-form
@@ -113,8 +115,8 @@ HdmmResult OptimizeStrategy(const UnionWorkload& w,
             job.strategy = std::make_unique<UnionKronStrategy>(
                 std::move(parts), res.group_products, "opt-union");
           } else {
-            OptMarginalsResult res = OptMarginals(w, marginals_opts,
-                                                  &job.rng);
+            OptMarginalsResult res =
+                OptMarginals(w, marginals_opts, &job.rng, job.restart);
             job.strategy = std::make_unique<MarginalsStrategy>(
                 w.domain(), res.theta, "opt-marginals");
           }

@@ -21,7 +21,12 @@ namespace hdmm {
 struct HdmmOptions {
   /// Random restarts S (Algorithm 2). The paper uses 25 but observes that
   /// "far fewer than 25 restarts may be sufficient in practice"
-  /// (Section 8.1); the library default favors runtime.
+  /// (Section 8.1); the library default favors runtime. This is the only
+  /// restart loop of the multi-dimensional operators: each (restart r,
+  /// operator) cell runs one start on its own stream forked from `seed`.
+  /// OPT_x and OPT_+ draw every Theta_i ~ U[0, 0.5) from that stream at any
+  /// r. OPT_M's restart 0 starts from the workload's own marginals, and
+  /// restart r >= 1 draws theta_0 ~ U[0, 1/2^(r mod 3)) (see OptMarginals).
   int restarts = 3;
 
   bool use_kron = true;       ///< Run OPT_x.

@@ -75,10 +75,11 @@ Opt0Result Opt0(const Matrix& gram, const Opt0Options& options, Rng* rng) {
     // Cycle the initialization scale across restarts: the Theta = 0 basin
     // (the identity strategy, always a strict local minimum) captures some
     // scales on some workloads, and varying the scale escapes it.
-    const double scale = options.init_hi / static_cast<double>(int64_t{1} << (r % 3));
+    // Restart 0 draws from U[0, 0.5), which is markedly more robust than
+    // U[0, 1) at small n.
+    const double scale = 0.5 / static_cast<double>(int64_t{1} << (r % 3));
     Rng child = rng->Fork(static_cast<uint64_t>(r));
-    theta0s.push_back(
-        Matrix::RandomUniform(p, n, &child, options.init_lo, scale));
+    theta0s.push_back(Matrix::RandomUniform(p, n, &child, 0.0, scale));
   }
 
   // Fan the restarts out over the pool. Each restart runs its whole L-BFGS-B

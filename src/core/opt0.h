@@ -17,9 +17,6 @@ struct Opt0Options {
   int p = 0;           ///< Extra rows; 0 = auto (max(1, n/16), Section 7.1).
   int restarts = 1;    ///< Random restarts (S in Algorithm 2).
   LbfgsbOptions lbfgs; ///< Inner optimizer settings.
-  /// Uniform init range for Theta. Restarts cycle the scale downward from
-  /// init_hi (see Opt0); 0.5 is markedly more robust than 1.0 at small n.
-  double init_lo = 0.0, init_hi = 0.5;
 };
 
 /// Result of OPT_0: the optimized parameters and their error.
@@ -41,8 +38,8 @@ Opt0Result Opt0(const Matrix& gram, const Opt0Options& options, Rng* rng);
 
 /// Warm-started single run from an existing parameter matrix (used by the
 /// block-cyclic union optimization, Problem 3). `par` selects the compute
-/// kernels of the inner objective: callers that already run warm starts in
-/// parallel (restart fan-out) pass kSerial.
+/// kernels of the inner objective: Opt0's restart fan-out, which already
+/// runs warm starts in parallel, passes kSerial.
 Opt0Result Opt0WarmStart(const Matrix& gram, const Matrix& theta0,
                          const LbfgsbOptions& lbfgs,
                          GemmParallelism par = GemmParallelism::kPooled);

@@ -1,13 +1,11 @@
 #include "core/opt_kron.h"
 
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
 #include "core/gram_cache.h"
 
 namespace hdmm {
@@ -66,129 +64,87 @@ OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
                                     : options.p[static_cast<size_t>(i)];
   }
 
-  const int restarts = std::max(1, options.restarts);
-  // Restart-level parallelism: each restart runs its whole block-cyclic
-  // optimization in one pool task on an independent forked stream (see
-  // Opt0 for the determinism contract). With several restarts in flight the
-  // inner objectives use serial kernels — allocation-free and contention-free.
-  const GemmParallelism par =
-      restarts > 1 ? GemmParallelism::kSerial : GemmParallelism::kPooled;
-  std::vector<Rng> streams;
-  streams.reserve(static_cast<size_t>(restarts));
-  for (int r = 0; r < restarts; ++r)
-    streams.push_back(rng->Fork(static_cast<uint64_t>(r)));
-
-  struct RestartResult {
-    std::vector<Matrix> thetas;
-    double error = std::numeric_limits<double>::infinity();
-  };
-  std::vector<RestartResult> results(static_cast<size_t>(restarts));
-
-  auto run_restart = [&](int restart, Rng* stream) {
-    RestartResult out;
-    // Random initialization of each attribute's parameters.
-    std::vector<Matrix>& thetas = out.thetas;
-    thetas.reserve(static_cast<size_t>(d));
-    // Initialization scale cycles across restarts (see Opt0).
-    const double scale = 0.5 / static_cast<double>(int64_t{1} << (restart % 3));
-    for (int i = 0; i < d; ++i) {
-      thetas.push_back(Matrix::RandomUniform(
-          p[static_cast<size_t>(i)], w.domain().AttributeSize(i), stream, 0.0,
-          scale));
-    }
-    // tu[i][u] = tr[(A_i^T A_i)^{-1} G_i^(u)], evaluated once per *unique*
-    // Gram; t[j][i] reads through gram_id so products sharing a factor share
-    // the trace.
-    std::vector<std::vector<double>> tu(static_cast<size_t>(d));
-    auto refresh_traces = [&](int i) {
-      const auto& pool = unique_grams[static_cast<size_t>(i)];
-      tu[static_cast<size_t>(i)].resize(pool.size());
-      for (size_t u = 0; u < pool.size(); ++u)
-        tu[static_cast<size_t>(i)][u] = PIdentityObjective::TraceWithGram(
-            thetas[static_cast<size_t>(i)], *pool[u]);
-    };
-    for (int i = 0; i < d; ++i) refresh_traces(i);
-    auto t = [&](int j, int i) {
-      return tu[static_cast<size_t>(i)][static_cast<size_t>(
-          gram_id[static_cast<size_t>(j)][static_cast<size_t>(i)])];
-    };
-
-    auto total_error = [&]() {
-      double total = 0.0;
-      for (int j = 0; j < k; ++j) {
-        double term = w.products()[static_cast<size_t>(j)].weight *
-                      w.products()[static_cast<size_t>(j)].weight;
-        for (int i = 0; i < d; ++i) term *= t(j, i);
-        total += term;
-      }
-      return total;
-    };
-
-    double err = total_error();
-    // Block-cyclic optimization (Problem 3). With k == 1 the surrogate is
-    // just a rescaled G_i, so one pass reduces to independent OPT_0 calls
-    // (Definition 10).
-    const int cycles = (d == 1) ? 1 : options.max_cycles;
-    for (int cycle = 0; cycle < cycles; ++cycle) {
-      for (int i = 0; i < d; ++i) {
-        // Surrogate Gram: \hat{G}_i = sum_j c_j^2 G_i^(j) with
-        // c_j = w_j prod_{i' != i} ||W_i'^(j) A_i'^+||_F (Equation 6).
-        // Coefficients of products sharing a Gram are merged first so each
-        // unique Gram is accumulated exactly once.
-        const int64_t ni = w.domain().AttributeSize(i);
-        const auto& pool = unique_grams[static_cast<size_t>(i)];
-        std::vector<double> coeff(pool.size(), 0.0);
-        for (int j = 0; j < k; ++j) {
-          double c2 = w.products()[static_cast<size_t>(j)].weight *
-                      w.products()[static_cast<size_t>(j)].weight;
-          for (int i2 = 0; i2 < d; ++i2) {
-            if (i2 == i) continue;
-            c2 *= t(j, i2);
-          }
-          coeff[static_cast<size_t>(
-              gram_id[static_cast<size_t>(j)][static_cast<size_t>(i)])] += c2;
-        }
-        Matrix surrogate = Matrix::Zeros(ni, ni);
-        for (size_t u = 0; u < pool.size(); ++u)
-          surrogate.AddInPlace(*pool[u], coeff[u]);
-        Opt0Result res = Opt0WarmStart(
-            surrogate, thetas[static_cast<size_t>(i)], options.lbfgs, par);
-        thetas[static_cast<size_t>(i)] = std::move(res.theta);
-        refresh_traces(i);
-      }
-      double new_err = total_error();
-      if (err - new_err <= options.cycle_tol * std::fabs(err)) {
-        err = new_err;
-        break;
-      }
-      err = new_err;
-    }
-    out.error = err;
-    return out;
-  };
-
-  RestartPool().ParallelFor(0, restarts, /*grain=*/1, [&](int64_t r0,
-                                                          int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      results[static_cast<size_t>(r)] = run_restart(
-          static_cast<int>(r), &streams[static_cast<size_t>(r)]);
-    }
-  });
-
-  // Keep the first restart unconditionally so the result always carries a
-  // valid parameterization even if every objective came out non-finite;
-  // later restarts replace it only on a strict improvement (lowest index
-  // wins ties, independent of thread count).
-  OptKronResult best;
-  best.error = results[0].error;
-  best.thetas = std::move(results[0].thetas);
-  for (int r = 1; r < restarts; ++r) {
-    if (results[static_cast<size_t>(r)].error < best.error) {
-      best.error = results[static_cast<size_t>(r)].error;
-      best.thetas = std::move(results[static_cast<size_t>(r)].thetas);
-    }
+  // One start per call: Algorithm 2's grid (OptimizeStrategy) supplies the
+  // restarts, each with its own stream. Theta_i ~ U[0, 0.5), which is
+  // markedly more robust than U[0, 1) at small n (see Opt0).
+  Rng stream = rng->Fork(0);
+  OptKronResult out;
+  std::vector<Matrix>& thetas = out.thetas;
+  for (int i = 0; i < d; ++i) {
+    thetas.push_back(Matrix::RandomUniform(p[static_cast<size_t>(i)],
+                                           w.domain().AttributeSize(i),
+                                           &stream, 0.0, 0.5));
   }
-  return best;
+  // tu[i][u] = tr[(A_i^T A_i)^{-1} G_i^(u)], evaluated once per *unique*
+  // Gram; t[j][i] reads through gram_id so products sharing a factor share
+  // the trace.
+  std::vector<std::vector<double>> tu(static_cast<size_t>(d));
+  auto refresh_traces = [&](int i) {
+    const auto& pool = unique_grams[static_cast<size_t>(i)];
+    tu[static_cast<size_t>(i)].resize(pool.size());
+    for (size_t u = 0; u < pool.size(); ++u)
+      tu[static_cast<size_t>(i)][u] = PIdentityObjective::TraceWithGram(
+          thetas[static_cast<size_t>(i)], *pool[u]);
+  };
+  for (int i = 0; i < d; ++i) refresh_traces(i);
+  auto t = [&](int j, int i) {
+    return tu[static_cast<size_t>(i)][static_cast<size_t>(
+        gram_id[static_cast<size_t>(j)][static_cast<size_t>(i)])];
+  };
+
+  auto total_error = [&]() {
+    double total = 0.0;
+    for (int j = 0; j < k; ++j) {
+      double term = w.products()[static_cast<size_t>(j)].weight *
+                    w.products()[static_cast<size_t>(j)].weight;
+      for (int i = 0; i < d; ++i) term *= t(j, i);
+      total += term;
+    }
+    return total;
+  };
+
+  double err = total_error();
+  // Block-cyclic optimization (Problem 3). With k == 1 the surrogate is
+  // just a rescaled G_i, so one pass reduces to independent OPT_0 calls
+  // (Definition 10).
+  const int cycles = (d == 1) ? 1 : options.max_cycles;
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    for (int i = 0; i < d; ++i) {
+      // Surrogate Gram: \hat{G}_i = sum_j c_j^2 G_i^(j) with
+      // c_j = w_j prod_{i' != i} ||W_i'^(j) A_i'^+||_F (Equation 6).
+      // Coefficients of products sharing a Gram are merged first so each
+      // unique Gram is accumulated exactly once.
+      const int64_t ni = w.domain().AttributeSize(i);
+      const auto& pool = unique_grams[static_cast<size_t>(i)];
+      std::vector<double> coeff(pool.size(), 0.0);
+      for (int j = 0; j < k; ++j) {
+        double c2 = w.products()[static_cast<size_t>(j)].weight *
+                    w.products()[static_cast<size_t>(j)].weight;
+        for (int i2 = 0; i2 < d; ++i2) {
+          if (i2 == i) continue;
+          c2 *= t(j, i2);
+        }
+        coeff[static_cast<size_t>(
+            gram_id[static_cast<size_t>(j)][static_cast<size_t>(i)])] += c2;
+      }
+      Matrix surrogate = Matrix::Zeros(ni, ni);
+      for (size_t u = 0; u < pool.size(); ++u)
+        surrogate.AddInPlace(*pool[u], coeff[u]);
+      Opt0Result res = Opt0WarmStart(surrogate, thetas[static_cast<size_t>(i)],
+                                     options.lbfgs);
+      thetas[static_cast<size_t>(i)] = std::move(res.theta);
+      refresh_traces(i);
+    }
+    // Stop once a pass improves the error by less than 1e-4 relative.
+    double new_err = total_error();
+    if (err - new_err <= 1e-4 * std::fabs(err)) {
+      err = new_err;
+      break;
+    }
+    err = new_err;
+  }
+  out.error = err;
+  return out;
 }
 
 std::vector<Matrix> KronStrategyFactors(const OptKronResult& result) {

@@ -18,9 +18,7 @@ struct OptKronOptions {
   /// Per-attribute p; empty = the Section 7.1 convention (1 for T/I-only
   /// attributes, n_i/16 otherwise).
   std::vector<int> p;
-  int max_cycles = 8;       ///< Block-cyclic passes over the attributes.
-  double cycle_tol = 1e-4;  ///< Relative improvement stopping threshold.
-  int restarts = 1;
+  int max_cycles = 8;  ///< Block-cyclic passes over the attributes.
   LbfgsbOptions lbfgs;
 };
 
@@ -32,7 +30,9 @@ struct OptKronResult {
   double error = 0.0;
 };
 
-/// Runs OPT_x on a (union of) product workload.
+/// Runs OPT_x on a (union of) product workload from one random start,
+/// Theta_i ~ U[0, 0.5) drawn from `rng->Fork(0)`. Restarts are the caller's:
+/// Algorithm 2's grid (OptimizeStrategy) runs one call per restart.
 OptKronResult OptKron(const UnionWorkload& w, const OptKronOptions& options,
                       Rng* rng);
 

@@ -1,8 +1,8 @@
 #include "core/opt_marginals.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
-
 #include <vector>
 
 #include "common/check.h"
@@ -104,7 +104,9 @@ double MarginalsAlgebra::TraceObjective(const Vector& theta,
 }
 
 OptMarginalsResult OptMarginals(const UnionWorkload& w,
-                                const OptMarginalsOptions& options, Rng* rng) {
+                                const OptMarginalsOptions& options, Rng* rng,
+                                int restart) {
+  HDMM_CHECK(restart >= 0);
   MarginalsAlgebra algebra(w.domain().sizes());
   const uint32_t masks = algebra.num_masks();
   const Vector tau = algebra.WorkloadTraceVector(w);
@@ -153,9 +155,10 @@ OptMarginalsResult OptMarginals(const UnionWorkload& w,
 
   // The objective is invariant to rescaling theta (both (sum theta)^2 and
   // the inverse weights scale oppositely), so bounding the box loses no
-  // generality and keeps the triangular solves well-conditioned.
+  // generality and keeps the triangular solves well-conditioned. The lower
+  // bound on theta_{2^d} keeps X(u) nonsingular.
   Vector lower(masks, 0.0);
-  lower[masks - 1] = options.min_full_weight;
+  lower[masks - 1] = 1e-4;
   Vector upper(masks, 1e3);
 
   OptMarginalsResult best;
@@ -166,57 +169,31 @@ OptMarginalsResult OptMarginals(const UnionWorkload& w,
   best.theta[masks - 1] = 1.0;
   best.error = algebra.TraceObjective(best.theta, tau);
 
-  // Masks present in the workload (for the workload-aware initialization):
-  // a marginal strategy that measures roughly what the workload asks is an
-  // excellent starting basin.
-  Vector workload_mask_weight(masks, 0.0);
-  for (const ProductWorkload& prod : w.products()) {
-    uint32_t mask = 0;
-    for (int i = 0; i < w.domain().NumAttributes(); ++i) {
-      if (prod.factors[static_cast<size_t>(i)].rows() > 1) mask |= (1u << i);
-    }
-    workload_mask_weight[mask] += 1.0;
-  }
-
-  // Starting points are derived on the calling thread, in restart order,
-  // from forked streams — a pure function of the seed, so the fan-out below
-  // selects the same strategy at any thread count (lowest restart index
-  // wins ties).
-  const int restarts = std::max(1, options.restarts);
-  std::vector<Vector> theta0s(static_cast<size_t>(restarts));
-  for (int r = 0; r < restarts; ++r) {
-    Vector theta0(masks);
-    if (r == 0 && options.workload_aware_init) {
-      // Workload-aware start: weight the workload's own marginals, tiny
-      // weight elsewhere.
-      for (uint32_t a = 0; a < masks; ++a) {
-        theta0[a] = workload_mask_weight[a] > 0.0 ? 1.0 : 0.01;
+  // One start per call; Algorithm 2's grid (OptimizeStrategy) supplies the
+  // restarts. Restart 0 starts from the workload's own marginals (a very
+  // strong basin): weight 1 on every mask the workload asks for, tiny weight
+  // elsewhere. Later restarts draw uniform starts at a scale that cycles
+  // with the restart index.
+  Vector theta0(masks, 0.01);
+  if (restart == 0) {
+    for (const ProductWorkload& prod : w.products()) {
+      uint32_t mask = 0;
+      for (int i = 0; i < w.domain().NumAttributes(); ++i) {
+        if (prod.factors[static_cast<size_t>(i)].rows() > 1) mask |= (1u << i);
       }
-    } else {
-      Rng child = rng->Fork(static_cast<uint64_t>(r));
-      const double scale = 1.0 / static_cast<double>(int64_t{1} << (r % 3));
-      for (uint32_t a = 0; a < masks; ++a)
-        theta0[a] = child.Uniform(0.0, scale);
+      theta0[mask] = 1.0;
     }
-    theta0[masks - 1] = std::max(theta0[masks - 1], 0.1);
-    theta0s[static_cast<size_t>(r)] = std::move(theta0);
+  } else {
+    const double scale = 1.0 / static_cast<double>(int64_t{1} << (restart % 3));
+    for (uint32_t a = 0; a < masks; ++a) theta0[a] = rng->Uniform(0.0, scale);
   }
+  theta0[masks - 1] = std::max(theta0[masks - 1], 0.1);
 
-  std::vector<LbfgsbResult> results(static_cast<size_t>(restarts));
-  RestartPool().ParallelFor(0, restarts, /*grain=*/1, [&](int64_t r0,
-                                                          int64_t r1) {
-    for (int64_t r = r0; r < r1; ++r) {
-      results[static_cast<size_t>(r)] =
-          MinimizeLbfgsb(fn, std::move(theta0s[static_cast<size_t>(r)]), lower,
-                         upper, options.lbfgs);
-    }
-  });
-  for (int r = 0; r < restarts; ++r) {
-    LbfgsbResult& res = results[static_cast<size_t>(r)];
-    if (res.f < best.error) {
-      best.error = res.f;
-      best.theta = std::move(res.x);
-    }
+  LbfgsbResult res =
+      MinimizeLbfgsb(fn, std::move(theta0), lower, upper, options.lbfgs);
+  if (res.f < best.error) {
+    best.error = res.f;
+    best.theta = std::move(res.x);
   }
   return best;
 }

@@ -58,13 +58,7 @@ class MarginalsAlgebra {
 
 /// Options for OPT_M.
 struct OptMarginalsOptions {
-  int restarts = 1;
   LbfgsbOptions lbfgs;
-  double min_full_weight = 1e-4;  ///< Lower bound keeping theta_{2^d} > 0.
-  /// Use the workload's own marginals as the first restart's starting point
-  /// (a very strong basin); disable to study pure random-restart behaviour
-  /// (Figure 3).
-  bool workload_aware_init = true;
 };
 
 /// Result of OPT_M.
@@ -74,10 +68,17 @@ struct OptMarginalsResult {
 };
 
 /// Optimizes the weighted-marginals strategy for a union-of-products
-/// workload. The sensitivity constraint is folded into the objective
-/// (sum theta_i)^2 * ||W M(theta)^+||_F^2 exactly as in Problem 4.
+/// workload from one start. The sensitivity constraint is folded into the
+/// objective (sum theta_i)^2 * ||W M(theta)^+||_F^2 exactly as in Problem 4.
+///
+/// `restart` is the index of this start in Algorithm 2's restart loop.
+/// Restart 0 starts from the workload's own marginals and never reads `rng`;
+/// restart r >= 1 draws theta_0 ~ U[0, 1/2^(r mod 3)) from `rng`. Pure
+/// random starts (Figure 3) pass r >= 1. The result is never worse than the
+/// full contingency table (theta = e_full).
 OptMarginalsResult OptMarginals(const UnionWorkload& w,
-                                const OptMarginalsOptions& options, Rng* rng);
+                                const OptMarginalsOptions& options, Rng* rng,
+                                int restart = 0);
 
 }  // namespace hdmm
 

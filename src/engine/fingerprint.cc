@@ -38,8 +38,6 @@ void HashKronOptions(Hasher* h, const OptKronOptions& o) {
   h->I64(static_cast<int64_t>(o.p.size()));
   for (int p : o.p) h->I32(p);
   h->I32(o.max_cycles);
-  h->F64(o.cycle_tol);
-  h->I32(o.restarts);
   HashLbfgs(h, o.lbfgs);
 }
 
@@ -74,7 +72,9 @@ Fingerprint FingerprintWorkload(const UnionWorkload& w) {
 Fingerprint FingerprintPlan(const UnionWorkload& w,
                             const HdmmOptions& options) {
   Hasher h;
-  h.U64(0x68646d6d70310000ULL);  // Format tag: "hdmmp1".
+  // Format tag "hdmmp2". Bump it whenever the same options come to select
+  // a different plan, so caches never serve a plan the code would not make.
+  h.U64(0x68646d6d70320000ULL);
   h.U64(FingerprintWorkload(w).value);
   h.I32(options.restarts);
   h.Bool(options.use_kron);
@@ -86,10 +86,7 @@ Fingerprint FingerprintPlan(const UnionWorkload& w,
   HashKronOptions(&h, options.union_opts.kron);
   h.I32(options.union_opts.max_groups);
   h.Bool(options.union_opts.optimize_budget_split);
-  h.I32(options.marginals.restarts);
   HashLbfgs(&h, options.marginals.lbfgs);
-  h.F64(options.marginals.min_full_weight);
-  h.Bool(options.marginals.workload_aware_init);
   return Fingerprint{h.Digest()};
 }
 

@@ -202,7 +202,7 @@ class SqlParser {
         if (!ExpectSymbol(")")) return false;
         return true;  // COUNT(*) terminates the select list.
       }
-      int attr;
+      int attr = 0;
       if (!ParseAttribute(&attr)) return false;
       select_attrs_.push_back(attr);
       if (!ExpectSymbol(",")) {
@@ -214,7 +214,7 @@ class SqlParser {
 
   bool ParseGroupByList() {
     do {
-      int attr;
+      int attr = 0;
       if (!ParseAttribute(&attr)) return false;
       group_by_[static_cast<size_t>(attr)] = true;
     } while (MatchSymbol(","));
@@ -249,7 +249,7 @@ class SqlParser {
 
   // predicate := attr op int | attr BETWEEN int AND int | attr IN (int, ...)
   bool ParsePredicate() {
-    int attr;
+    int attr = 0;
     if (!ParseAttribute(&attr)) return false;
     const int64_t n = domain_.AttributeSize(attr);
     Vector pred(static_cast<size_t>(n), 0.0);

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "data/census.h"
 #include "workload/building_blocks.h"
 #include "workload/marginals.h"
 
@@ -100,6 +101,29 @@ TEST(Hdmm, MoreRestartsNeverHurt) {
   HdmmResult r1 = OptimizeStrategy(w, one);
   HdmmResult r3 = OptimizeStrategy(w, three);
   EXPECT_LE(r3.squared_error, r1.squared_error + 1e-9);
+}
+
+TEST(Hdmm, MarginalsRestartsImproveAdultTwoWay) {
+  // Each OPT_M restart r >= 1 takes its own random start, and restart r's
+  // stream does not depend on S, so the grid's best error can only fall as
+  // S grows, and 25 starts find a better basin than the workload-aware one.
+  UnionWorkload w = KWayMarginals(AdultDomain(), 2);
+  HdmmOptions opts;
+  opts.use_kron = false;
+  opts.use_union = false;
+  double previous = 0.0, first = 0.0;
+  for (int s : {1, 2, 4, 8, 25}) {
+    opts.restarts = s;
+    HdmmResult res = OptimizeStrategy(w, opts);
+    ASSERT_EQ(res.chosen_operator, "marginals") << s;
+    if (s == 1) {
+      first = res.squared_error;
+    } else {
+      EXPECT_LE(res.squared_error, previous) << s;
+    }
+    previous = res.squared_error;
+  }
+  EXPECT_LT(previous, first);
 }
 
 }  // namespace

@@ -82,7 +82,6 @@ TEST(OptKron, BeatsIdentityOnPrefix2D) {
   double id_err = PrefixGram(n).Trace() * PrefixGram(n).Trace();
   OptKronOptions opts;
   opts.p = {2, 2};
-  opts.restarts = 3;
   Rng rng(4);
   OptKronResult res = OptKron(w, opts, &rng);
   EXPECT_LT(res.error, 0.7 * id_err);

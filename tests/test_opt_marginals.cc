@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/strategy.h"
+#include "data/census.h"
 #include "linalg/pinv.h"
 #include "workload/building_blocks.h"
 #include "workload/marginals.h"
@@ -150,15 +151,29 @@ TEST(OptMarginals, BeatsFullTableOnLargerDomains) {
   Domain d({10, 10, 10, 10});
   UnionWorkload w = UpToKWayMarginals(d, 2);
   Rng rng(7);
-  OptMarginalsOptions opts;
-  opts.restarts = 3;
-  OptMarginalsResult res = OptMarginals(w, opts, &rng);
+  OptMarginalsResult res = OptMarginals(w, OptMarginalsOptions(), &rng);
   MarginalsAlgebra alg({10, 10, 10, 10});
   Vector full_only(16, 0.0);
   full_only[15] = 1.0;
   Vector tau = alg.WorkloadTraceVector(w);
   double id_err = alg.TraceObjective(full_only, tau);
   EXPECT_LT(res.error, 0.5 * id_err);
+}
+
+TEST(OptMarginals, RestartsTakeDistinctStarts) {
+  // Restart 0 is the workload-aware start and never reads the Rng; later
+  // restarts draw their own random starts, so Algorithm 2's restarts do not
+  // repeat one run.
+  UnionWorkload w = KWayMarginals(AdultDomain(), 2);
+  auto run = [&](uint64_t seed, int restart) {
+    Rng rng(seed);
+    return OptMarginals(w, OptMarginalsOptions(), &rng, restart).theta;
+  };
+  const Vector r0 = run(11, 0), r1 = run(11, 1), r2 = run(11, 2);
+  EXPECT_NE(r0, r1);
+  EXPECT_NE(r0, r2);
+  EXPECT_NE(r1, r2);
+  EXPECT_EQ(r0, run(12, 0));
 }
 
 TEST(OptMarginals, ErrorMatchesStrategySquaredError) {

@@ -1,11 +1,12 @@
-// Thread-count invariance of the planner: for a fixed seed, Opt0 / OptKron /
-// OptMarginals / OptimizeStrategy must select bit-identical strategies and
-// errors whether restarts fan out over 1 thread, 4, or 16. The tests route
-// the restart fan-out through private pools of different widths
-// (SetRestartPoolForTest) and compare raw result bits, so any scheduling- or
-// reduction-order dependence fails loudly. 16 exceeds both the restart
-// counts used here (tasks outnumbered by threads — idle workers must not
-// perturb anything) and any CI runner's core count (oversubscription).
+// Thread-count invariance of the planner: for a fixed seed, Opt0 and
+// OptimizeStrategy (Algorithm 2's restart grid) must select bit-identical
+// strategies and errors whether restarts fan out over 1 thread, 4, or 16.
+// The tests route the restart fan-out through private pools of different
+// widths (SetRestartPoolForTest) and compare raw result bits, so any
+// scheduling- or reduction-order dependence fails loudly. 16 exceeds both
+// the restart counts used here (tasks outnumbered by threads — idle workers
+// must not perturb anything) and any CI runner's core count
+// (oversubscription).
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -14,10 +15,11 @@
 #include "common/thread_pool.h"
 #include "core/hdmm.h"
 #include "core/opt0.h"
-#include "core/opt_kron.h"
 #include "core/opt_marginals.h"
 #include "core/strategy_io.h"
+#include "data/census.h"
 #include "workload/building_blocks.h"
+#include "workload/marginals.h"
 
 namespace hdmm {
 namespace {
@@ -38,12 +40,6 @@ bool BitIdentical(const Matrix& a, const Matrix& b) {
          (a.size() == 0 ||
           std::memcmp(a.data(), b.data(),
                       sizeof(double) * static_cast<size_t>(a.size())) == 0);
-}
-
-bool BitIdentical(const Vector& a, const Vector& b) {
-  return a.size() == b.size() &&
-         (a.empty() ||
-          std::memcmp(a.data(), b.data(), sizeof(double) * a.size()) == 0);
 }
 
 bool BitIdentical(double a, double b) {
@@ -101,54 +97,10 @@ TEST(PlannerDeterminism, Opt0ThreadCountInvariant) {
   }
 }
 
-TEST(PlannerDeterminism, OptKronThreadCountInvariant) {
-  UnionWorkload w = SmallCensus();
-  OptKronOptions opts;
-  opts.restarts = 3;
-  opts.max_cycles = 3;
-  auto run = [&] {
-    Rng rng(5);
-    return OptKron(w, opts, &rng);
-  };
-  OptKronResult narrow = WithRestartThreads(1, run);
-  for (int threads : {4, 16}) {
-    OptKronResult wide = WithRestartThreads(threads, run);
-    EXPECT_TRUE(BitIdentical(narrow.error, wide.error)) << threads;
-    ASSERT_EQ(narrow.thetas.size(), wide.thetas.size());
-    for (size_t i = 0; i < narrow.thetas.size(); ++i)
-      EXPECT_TRUE(BitIdentical(narrow.thetas[i], wide.thetas[i]))
-          << threads << " threads, theta " << i;
-  }
-}
-
-TEST(PlannerDeterminism, OptMarginalsThreadCountInvariant) {
-  Domain d({3, 4, 2});
-  UnionWorkload w(d);
-  ProductWorkload p1;
-  p1.factors = {IdentityBlock(3), TotalBlock(4), IdentityBlock(2)};
-  w.AddProduct(p1);
-  ProductWorkload p2;
-  p2.factors = {TotalBlock(3), IdentityBlock(4), TotalBlock(2)};
-  w.AddProduct(p2);
-  OptMarginalsOptions opts;
-  opts.restarts = 3;
-  auto run = [&] {
-    Rng rng(13);
-    return OptMarginals(w, opts, &rng);
-  };
-  OptMarginalsResult narrow = WithRestartThreads(1, run);
-  for (int threads : {4, 16}) {
-    OptMarginalsResult wide = WithRestartThreads(threads, run);
-    EXPECT_TRUE(BitIdentical(narrow.error, wide.error)) << threads;
-    EXPECT_TRUE(BitIdentical(narrow.theta, wide.theta)) << threads;
-  }
-}
-
-TEST(PlannerDeterminism, OptimizeStrategyThreadCountInvariant) {
-  UnionWorkload w = SmallCensus();
-  HdmmOptions options;
-  options.restarts = 2;
-  options.seed = 99;
+// Runs OptimizeStrategy at 1, 4 and 16 threads and checks that all three
+// select the same strategy bit for bit; returns the 1-thread result.
+HdmmResult ExpectOptimizeStrategyThreadCountInvariant(
+    const UnionWorkload& w, const HdmmOptions& options) {
   auto run = [&] { return OptimizeStrategy(w, options); };
   HdmmResult narrow = WithRestartThreads(1, run);
   for (int threads : {4, 16}) {
@@ -162,6 +114,24 @@ TEST(PlannerDeterminism, OptimizeStrategyThreadCountInvariant) {
               SerializeStrategy(*wide.strategy))
         << threads;
   }
+  return narrow;
+}
+
+TEST(PlannerDeterminism, OptimizeStrategyThreadCountInvariant) {
+  HdmmOptions options;
+  options.restarts = 2;
+  options.seed = 99;
+  ExpectOptimizeStrategyThreadCountInvariant(SmallCensus(), options);
+
+  // Adult 2-way at S = 3 is won by an OPT_M restart r >= 1, so the random
+  // OPT_M starts must be thread-count invariant too.
+  UnionWorkload adult = KWayMarginals(AdultDomain(), 2);
+  options.restarts = 3;
+  HdmmResult res = ExpectOptimizeStrategyThreadCountInvariant(adult, options);
+  EXPECT_EQ(res.chosen_operator, "marginals");
+  Rng unused(0);
+  EXPECT_LT(res.squared_error,
+            OptMarginals(adult, options.marginals, &unused, 0).error);
 }
 
 TEST(PlannerDeterminism, RepeatedRunsIdenticalOnSamePool) {
