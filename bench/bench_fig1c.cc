@@ -1,7 +1,7 @@
 // Figure 1c: strategy-selection runtime vs total domain size N = n^8 on the
 // 3-way marginals workload (8 dimensions). Both DataCube and HDMM (OPT_M)
 // scale gracefully because neither touches the full domain: OPT_M's cost is
-// O(4^d) independent of n.
+// independent of n (O(d 2^d) per objective evaluation).
 #include <cstdio>
 
 #include "baselines/datacube.h"

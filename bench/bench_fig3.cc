@@ -69,10 +69,11 @@ int main(int argc, char** argv) {
     std::vector<double> errors;
     for (int r = 0; r < restarts; ++r) {
       Rng rng(static_cast<uint64_t>(1000 + r));
-      // Restart index r + 1 >= 1: a pure random start (Figure 3), never the
-      // workload-aware start of restart 0.
+      Rng start = rng.Fork(0);
+      // Restart index 1: a pure random start theta_0 ~ U[0, 1) (Figure 3),
+      // never the workload-aware start of restart 0.
       errors.push_back(
-          OptMarginals(w, OptMarginalsOptions(), &rng, r + 1).error);
+          OptMarginals(w, OptMarginalsOptions(), &start, 1).error);
     }
     PrintHistogram("OPT_M, up-to-4-way marginals", std::move(errors));
   }

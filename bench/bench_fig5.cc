@@ -28,9 +28,15 @@ int main(int argc, char** argv) {
   // OPT_x: time to run the decomposed optimization.
   Domain d({n, n});
   UnionWorkload w = MakeProductWorkload(d, {AllRangeBlock(n), AllRangeBlock(n)});
+  // Two starts (seeds 1 and 2), keeping the better, as Algorithm 2's
+  // restarts would.
   WallTimer t_kron;
-  Rng rng1(1);
-  OptKronResult kres = OptKron(w, OptKronOptions(), &rng1);
+  OptKronResult kres;
+  for (uint64_t seed : {1, 2}) {
+    Rng rng(seed);
+    OptKronResult res = OptKron(w, OptKronOptions(), &rng);
+    if (seed == 1 || res.error < kres.error) kres = std::move(res);
+  }
   std::printf("OPT_x : %8.2fs  error %.1f  (vs identity %.1f)\n",
               t_kron.Seconds(), kres.error, id_err);
 

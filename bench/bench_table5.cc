@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
 
   for (int k = 1; k <= d; ++k) {
     UnionWorkload w = UpToKWayMarginals(domain, k);
-    Vector tau = algebra.WorkloadTraceVector(w);
+    Vector lambda = algebra.WorkloadTraceVector(w);
 
     // HDMM = Algorithm 2 with only OPT_M enabled.
     HdmmOptions opts;
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
     // Identity: measure the full contingency table (theta = e_full).
     Vector e_full(masks, 0.0);
     e_full[masks - 1] = 1.0;
-    double id_err = algebra.TraceObjective(e_full, tau);
+    double id_err = algebra.TraceObjective(e_full, lambda);
 
     // LM: each workload marginal is itself measured; sensitivity is the
     // number of marginals (every cell counted once per marginal), and every

@@ -36,15 +36,19 @@ int main() {
               std::sqrt(lm_err / res.squared_error));
 
   // If the winner is a marginals strategy, show the heaviest marginals.
+  // The error is invariant to rescaling theta, so print each weight as its
+  // share of the privacy budget, theta_m / sum(theta).
   if (auto* marg = dynamic_cast<MarginalsStrategy*>(res.strategy.get())) {
+    const double total = marg->Sensitivity();
     std::vector<std::pair<double, uint32_t>> weighted;
     for (uint32_t m = 0; m < marg->theta().size(); ++m) {
-      if (marg->theta()[m] > 1e-6) weighted.push_back({marg->theta()[m], m});
+      const double share = marg->theta()[m] / total;
+      if (share > 1e-6) weighted.push_back({share, m});
     }
     std::sort(weighted.rbegin(), weighted.rend());
     std::printf("top weighted marginals in the selected strategy:\n");
     for (size_t i = 0; i < std::min<size_t>(6, weighted.size()); ++i) {
-      std::printf("  weight %6.3f  { ", weighted[i].first);
+      std::printf("  budget share %5.3f  { ", weighted[i].first);
       for (int a = 0; a < domain.NumAttributes(); ++a) {
         if ((weighted[i].second >> a) & 1u)
           std::printf("%s ", domain.AttributeName(a).c_str());

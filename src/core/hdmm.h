@@ -26,7 +26,7 @@ struct HdmmOptions {
   /// operator) cell runs one start on its own stream forked from `seed`.
   /// OPT_x and OPT_+ draw every Theta_i ~ U[0, 0.5) from that stream at any
   /// r. OPT_M's restart 0 starts from the workload's own marginals, and
-  /// restart r >= 1 draws theta_0 ~ U[0, 1/2^(r mod 3)) (see OptMarginals).
+  /// restart r >= 1 draws theta_0 ~ U[0, 1) (see OptMarginals).
   int restarts = 3;
 
   bool use_kron = true;       ///< Run OPT_x.

@@ -6,8 +6,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
-#include "linalg/cholesky.h"
 
 namespace hdmm {
 
@@ -25,46 +23,33 @@ MarginalsAlgebra::MarginalsAlgebra(std::vector<int64_t> attr_sizes)
   }
 }
 
-Matrix MarginalsAlgebra::BuildX(const Vector& u) const {
+Vector MarginalsAlgebra::Eigenvalues(const Vector& u) const {
   const uint32_t masks = num_masks();
   HDMM_CHECK(u.size() == masks);
-  Matrix x(masks, masks);
-  for (uint32_t a = 0; a < masks; ++a) {
-    const double ua = u[a];
-    if (ua == 0.0) continue;
-    for (uint32_t b = 0; b < masks; ++b) {
-      x(a & b, b) += ua * cweight_[a | b];
+  Vector mu(masks);
+  for (uint32_t a = 0; a < masks; ++a) mu[a] = u[a] * cweight_[a];
+  for (int i = 0; i < d_; ++i) {
+    const uint32_t bit = 1u << i;
+    for (uint32_t s = 0; s < masks; ++s) {
+      if ((s & bit) == 0) mu[s] += mu[s | bit];
     }
   }
-  return x;
-}
-
-Vector MarginalsAlgebra::InverseWeights(const Vector& u) const {
-  const uint32_t masks = num_masks();
-  HDMM_CHECK(u.size() == masks);
-  HDMM_CHECK_MSG(u[masks - 1] > 0.0,
-                 "InverseWeights requires positive weight on the full "
-                 "marginal (theta_{2^d} > 0)");
-  Matrix x = BuildX(u);
-  Vector e_full(masks, 0.0);
-  e_full[masks - 1] = 1.0;  // C(2^d - 1) = I.
-  return UpperTriangularSolve(x, e_full);
+  return mu;
 }
 
 Vector MarginalsAlgebra::WorkloadTraceVector(const UnionWorkload& w) const {
   HDMM_CHECK(w.domain().NumAttributes() == d_);
   const uint32_t masks = num_masks();
-  Vector tau(masks, 0.0);
+  Vector lambda(masks, 0.0);
   for (const ProductWorkload& prod : w.products()) {
-    // Per-attribute trace and sum of the factor Gram matrices. tr(1 G) is
-    // the sum of all entries of G; tr(I G) is the trace. Neither needs the
-    // n x n Gram materialized: tr(F^T F) = ||F||_F^2 and
-    // sum(F^T F) = 1^T F^T F 1 = ||F 1||^2, both O(rows x cols) row scans.
-    std::vector<double> tr(static_cast<size_t>(d_)),
-        sm(static_cast<size_t>(d_));
+    // Per attribute, the factor Gram's trace on the ones vector, sum(G)/n,
+    // and on its complement, tr(G) - sum(G)/n. Neither needs the n x n Gram
+    // materialized: tr(F^T F) = ||F||_F^2 and sum(F^T F) = ||F 1||^2, both
+    // O(rows x cols) row scans.
+    std::vector<double> ones(static_cast<size_t>(d_)),
+        rest(static_cast<size_t>(d_));
     for (int i = 0; i < d_; ++i) {
       const Matrix& f = prod.factors[static_cast<size_t>(i)];
-      tr[static_cast<size_t>(i)] = f.FrobeniusNormSquared();
       double row_sum_sq = 0.0;
       for (int64_t r = 0; r < f.rows(); ++r) {
         const double* row = f.Row(r);
@@ -72,35 +57,76 @@ Vector MarginalsAlgebra::WorkloadTraceVector(const UnionWorkload& w) const {
         for (int64_t c = 0; c < f.cols(); ++c) rs += row[c];
         row_sum_sq += rs * rs;
       }
-      sm[static_cast<size_t>(i)] = row_sum_sq;
+      const double on_ones = row_sum_sq / static_cast<double>(f.cols());
+      ones[static_cast<size_t>(i)] = on_ones;
+      // Non-negative in exact arithmetic (G is PSD); clamp the rounding.
+      rest[static_cast<size_t>(i)] =
+          std::max(0.0, f.FrobeniusNormSquared() - on_ones);
     }
     const double w2 = prod.weight * prod.weight;
-    for (uint32_t a = 0; a < masks; ++a) {
+    for (uint32_t s = 0; s < masks; ++s) {
       double term = w2;
       for (int i = 0; i < d_; ++i) {
-        term *= ((a >> i) & 1u) ? tr[static_cast<size_t>(i)]
-                                : sm[static_cast<size_t>(i)];
+        term *= ((s >> i) & 1u) ? rest[static_cast<size_t>(i)]
+                                : ones[static_cast<size_t>(i)];
       }
-      tau[a] += term;
+      lambda[s] += term;
     }
   }
-  return tau;
+  return lambda;
 }
 
 double MarginalsAlgebra::TraceObjective(const Vector& theta,
-                                        const Vector& tau) const {
+                                        const Vector& lambda) const {
   const uint32_t masks = num_masks();
-  HDMM_CHECK(theta.size() == masks && tau.size() == masks);
+  HDMM_CHECK(theta.size() == masks && lambda.size() == masks);
   Vector u(masks);
   for (uint32_t a = 0; a < masks; ++a) u[a] = theta[a] * theta[a];
-  Vector v = InverseWeights(u);
-  double tr = Dot(v, tau);
-  // The exact trace is strictly positive; a non-positive value means the
-  // triangular solve lost all precision (extreme weight disparity).
-  if (!(tr > 0.0) || !std::isfinite(tr)) {
-    return std::numeric_limits<double>::infinity();
+  const Vector mu = Eigenvalues(u);
+  double tr = 0.0;
+  for (uint32_t s = 0; s < masks; ++s) {
+    if (lambda[s] > 0.0) tr += lambda[s] / mu[s];  // +inf when mu_S = 0.
   }
   return tr;
+}
+
+double MarginalsAlgebra::Objective(const Vector& theta, const Vector& lambda,
+                                   Vector* grad) const {
+  const uint32_t masks = num_masks();
+  HDMM_CHECK(theta.size() == masks && lambda.size() == masks);
+  Vector u(masks);
+  for (uint32_t a = 0; a < masks; ++a) u[a] = theta[a] * theta[a];
+  const Vector mu = Eigenvalues(u);
+  const double s = Sum(theta);
+  // tr = sum_S lambda_S / mu_S and, for the gradient, r_S = lambda_S / mu_S^2.
+  double tr = 0.0;
+  Vector r(masks, 0.0);
+  for (uint32_t e = 0; e < masks; ++e) {
+    if (!(lambda[e] > 0.0)) continue;
+    tr += lambda[e] / mu[e];
+    r[e] = lambda[e] / (mu[e] * mu[e]);
+  }
+  const double obj = s * s * tr;
+  if (!(s > 0.0) || !std::isfinite(obj)) {
+    if (grad != nullptr) grad->assign(masks, 0.0);
+    return std::numeric_limits<double>::infinity();
+  }
+  if (grad != nullptr) {
+    // d mu_S / d theta_a = 2 theta_a c(a) for S subset of a, so
+    //   d obj / d theta_a = 2 s tr - 2 s^2 theta_a c(a) sum_{S subset a} r_S,
+    // the inner sums by a subset-sum transform.
+    for (int i = 0; i < d_; ++i) {
+      const uint32_t bit = 1u << i;
+      for (uint32_t a = 0; a < masks; ++a) {
+        if ((a & bit) != 0) r[a] += r[a ^ bit];
+      }
+    }
+    grad->resize(masks);
+    for (uint32_t a = 0; a < masks; ++a) {
+      (*grad)[a] = 2.0 * s * tr - 2.0 * s * s * theta[a] * cweight_[a] * r[a];
+    }
+  }
+  return obj;
 }
 
 OptMarginalsResult OptMarginals(const UnionWorkload& w,
@@ -109,54 +135,15 @@ OptMarginalsResult OptMarginals(const UnionWorkload& w,
   HDMM_CHECK(restart >= 0);
   MarginalsAlgebra algebra(w.domain().sizes());
   const uint32_t masks = algebra.num_masks();
-  const Vector tau = algebra.WorkloadTraceVector(w);
-
-  // Objective (Problem 4): (sum theta)^2 * tr[G(v) W^T W], u = theta^2,
-  // X(u) v = e_full. Gradient via the adjoint of the triangular solve:
-  //   d(v . tau)/du_a = -sum_b y[a&b] c(a|b) v_b,  X(u)^T y = tau.
+  const Vector lambda = algebra.WorkloadTraceVector(w);
   ObjectiveFn fn = [&](const Vector& theta, Vector* grad) -> double {
-    double s = Sum(theta);
-    if (s <= 0.0 || theta[masks - 1] <= 0.0) {
-      if (grad != nullptr) grad->assign(theta.size(), 0.0);
-      return std::numeric_limits<double>::infinity();
-    }
-    Vector u(masks);
-    for (uint32_t a = 0; a < masks; ++a) u[a] = theta[a] * theta[a];
-    Matrix x = algebra.BuildX(u);
-    Vector e_full(masks, 0.0);
-    e_full[masks - 1] = 1.0;
-    Vector v = UpperTriangularSolve(x, e_full);
-    double vt = Dot(v, tau);
-    double obj = s * s * vt;
-    if (!(vt > 0.0) || !std::isfinite(obj)) {
-      // Numerically poisoned region (the exact objective is positive).
-      if (grad != nullptr) grad->assign(theta.size(), 0.0);
-      return std::numeric_limits<double>::infinity();
-    }
-    if (grad != nullptr) {
-      Vector y = UpperTriangularSolveTranspose(x, tau);
-      grad->assign(masks, 0.0);
-      // O(masks^2) double loop — the cost wall for high-d marginal domains.
-      // Rows (gradient entries) are independent; fan out over the pool.
-      ComputePool().ParallelFor(
-          0, masks, /*grain=*/64, [&](int64_t a0, int64_t a1) {
-            for (int64_t ai = a0; ai < a1; ++ai) {
-              const uint32_t a = static_cast<uint32_t>(ai);
-              double dvt = 0.0;
-              for (uint32_t b = 0; b < masks; ++b) {
-                dvt -= y[a & b] * algebra.CWeight(a | b) * v[b];
-              }
-              (*grad)[a] = 2.0 * s * vt + s * s * dvt * 2.0 * theta[a];
-            }
-          });
-    }
-    return obj;
+    return algebra.Objective(theta, lambda, grad);
   };
 
   // The objective is invariant to rescaling theta (both (sum theta)^2 and
-  // the inverse weights scale oppositely), so bounding the box loses no
-  // generality and keeps the triangular solves well-conditioned. The lower
-  // bound on theta_{2^d} keeps X(u) nonsingular.
+  // the inverse eigenvalues scale oppositely), so bounding the box loses no
+  // generality. The lower bound on theta_{2^d} keeps every eigenvalue mu_S
+  // positive, so every workload is supported and the objective finite.
   Vector lower(masks, 0.0);
   lower[masks - 1] = 1e-4;
   Vector upper(masks, 1e3);
@@ -167,13 +154,12 @@ OptMarginalsResult OptMarginals(const UnionWorkload& w,
   // below the Algorithm 2 identity baseline on marginal workloads.
   best.theta.assign(masks, 0.0);
   best.theta[masks - 1] = 1.0;
-  best.error = algebra.TraceObjective(best.theta, tau);
+  best.error = algebra.TraceObjective(best.theta, lambda);
 
   // One start per call; Algorithm 2's grid (OptimizeStrategy) supplies the
   // restarts. Restart 0 starts from the workload's own marginals (a very
   // strong basin): weight 1 on every mask the workload asks for, tiny weight
-  // elsewhere. Later restarts draw uniform starts at a scale that cycles
-  // with the restart index.
+  // elsewhere. Later restarts draw uniform starts.
   Vector theta0(masks, 0.01);
   if (restart == 0) {
     for (const ProductWorkload& prod : w.products()) {
@@ -184,8 +170,7 @@ OptMarginalsResult OptMarginals(const UnionWorkload& w,
       theta0[mask] = 1.0;
     }
   } else {
-    const double scale = 1.0 / static_cast<double>(int64_t{1} << (restart % 3));
-    for (uint32_t a = 0; a < masks; ++a) theta0[a] = rng->Uniform(0.0, scale);
+    for (uint32_t a = 0; a < masks; ++a) theta0[a] = rng->Uniform(0.0, 1.0);
   }
   theta0[masks - 1] = std::max(theta0[masks - 1], 0.1);
 

@@ -1,7 +1,7 @@
 // OPT_M (Problem 4, Section 6.3) and the closed marginals algebra of
 // Appendix A.4. Strategies are weighted sets of marginals M(theta),
 // theta in R^{2^d}_+, and both the objective and its gradient are evaluated
-// in O(4^d) time independent of the attribute domain sizes.
+// in O(d 2^d) time independent of the attribute domain sizes.
 #ifndef HDMM_CORE_OPT_MARGINALS_H_
 #define HDMM_CORE_OPT_MARGINALS_H_
 
@@ -16,8 +16,16 @@ namespace hdmm {
 
 /// The closed algebra over matrices G(v) = sum_a v_a C(a), where
 /// C(a) = kron_i (I if bit_i(a) else 1) — Propositions 3 and 4 of the paper.
-/// Products stay inside the algebra: G(u) G(v) = G(X(u) v) with X(u) upper
-/// triangular, which yields O(4^d) inverses via one triangular solve.
+///
+/// Every G(u) is diagonal in one common eigenbasis: per attribute, the ones
+/// vector and its orthogonal complement. Eigenspace S takes the complement
+/// on the attributes in mask S, and there G(u) has the eigenvalue
+/// mu_S = sum_{a superset of S} u_a c(a). Products and inverses stay in the
+/// algebra (Proposition 4) because they act eigenvalue by eigenvalue. The
+/// error objective and the reconstruction (MarginalsStreamReconstructor)
+/// work in this basis, where no sum cancels; in the C(a) basis the weights
+/// of G(u)^{-1} cancel catastrophically once c(a) theta_a^2 spans many
+/// orders of magnitude.
 class MarginalsAlgebra {
  public:
   explicit MarginalsAlgebra(std::vector<int64_t> attr_sizes);
@@ -31,24 +39,30 @@ class MarginalsAlgebra {
     return cweight_[static_cast<size_t>(mask)];
   }
 
-  /// The triangular matrix X(u) with G(u) G(v) = G(X(u) v) (Proposition 4):
-  /// X(u)[k, b] = sum_{a : a & b = k} u_a c(a | b).
-  Matrix BuildX(const Vector& u) const;
+  /// The eigenvalues mu_S = sum_{a superset of S} u_a c(a) of G(u), one per
+  /// mask S, by a superset-sum transform in O(d 2^d).
+  Vector Eigenvalues(const Vector& u) const;
 
-  /// Solves X(u) v = e_{full}: then G(v) = G(u)^{-1}. Requires u_full > 0
-  /// (which makes X(u) nonsingular). For a strategy M(theta),
-  /// (M^T M) = G(theta^2) and hence (M^T M)^{-1} = G(v).
-  Vector InverseWeights(const Vector& u) const;
-
-  /// Per-mask workload statistics tau_a = sum_j w_j^2 *
-  /// prod_i (bit_i(a) ? tr(G_i^(j)) : sum(G_i^(j))), so that
-  /// tr[G(v) W^T W] = v . tau. Precomputed once per workload; cost linear
-  /// in the number of products (Section 6.3).
+  /// Per-eigenspace workload traces lambda_S = tr[P_S W^T W], with P_S the
+  /// projector on eigenspace S: lambda_S = sum_j w_j^2 prod_i (bit_i(S) ?
+  /// tr(G_i^(j)) - sum(G_i^(j)) / n_i : sum(G_i^(j)) / n_i). Then
+  /// tr[G(u)^+ W^T W] = sum_S lambda_S / mu_S. Precomputed once per
+  /// workload; cost linear in the number of products (Section 6.3).
   Vector WorkloadTraceVector(const UnionWorkload& w) const;
 
-  /// tr[(M(theta)^T M(theta))^{-1} W^T W] given tau = WorkloadTraceVector.
-  /// Dies if theta_full <= 0.
-  double TraceObjective(const Vector& theta, const Vector& tau) const;
+  /// tr[(M(theta)^T M(theta))^+ W^T W] = sum_S lambda_S / mu_S(theta^2)
+  /// given lambda = WorkloadTraceVector(w). Every term is non-negative, so
+  /// the sum does not cancel however widely theta spreads. Infinite when
+  /// the workload needs an eigenspace M(theta) does not measure
+  /// (lambda_S > 0 = mu_S).
+  double TraceObjective(const Vector& theta, const Vector& lambda) const;
+
+  /// OPT_M's objective (Problem 4), (sum theta)^2 * TraceObjective, and,
+  /// when `grad` is non-null, its gradient in theta, both in O(d 2^d).
+  /// Infinite (with a zero gradient) where TraceObjective is infinite or
+  /// sum theta <= 0.
+  double Objective(const Vector& theta, const Vector& lambda,
+                   Vector* grad) const;
 
  private:
   int d_;
@@ -73,8 +87,8 @@ struct OptMarginalsResult {
 ///
 /// `restart` is the index of this start in Algorithm 2's restart loop.
 /// Restart 0 starts from the workload's own marginals and never reads `rng`;
-/// restart r >= 1 draws theta_0 ~ U[0, 1/2^(r mod 3)) from `rng`. Pure
-/// random starts (Figure 3) pass r >= 1. The result is never worse than the
+/// restart r >= 1 draws theta_0 ~ U[0, 1) from `rng`. Pure random starts
+/// (Figure 3) pass r >= 1. The result is never worse than the
 /// full contingency table (theta = e_full).
 OptMarginalsResult OptMarginals(const UnionWorkload& w,
                                 const OptMarginalsOptions& options, Rng* rng,

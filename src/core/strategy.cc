@@ -310,48 +310,15 @@ Vector MarginalsStrategy::Apply(const Vector& x) const {
 }
 
 Vector MarginalsStrategy::Reconstruct(const Vector& y) const {
-  // x_hat = (M^T M)^{-1} M^T y, with (M^T M)^{-1} = G(v) (Appendix A.4).
-  const uint32_t masks = algebra_.num_masks();
-  Vector u(masks);
-  for (uint32_t a = 0; a < masks; ++a) u[a] = theta_[a] * theta_[a];
-  Vector v = algebra_.InverseWeights(u);
-
-  // M^T y: accumulate theta_a * (marginal factors)^T y_a.
   const int64_t n = domain_.TotalSize();
-  Vector mty(static_cast<size_t>(n), 0.0);
-  size_t offset = 0;
-  for (uint32_t mask : ActiveMasks()) {
-    std::vector<Matrix> factors = MarginalFactors(mask);
-    int64_t rows = 1;
-    for (const Matrix& f : factors) rows *= f.rows();
-    Vector sub(y.begin() + static_cast<long>(offset),
-               y.begin() + static_cast<long>(offset + static_cast<size_t>(rows)));
-    Vector part = KronMatTVec(factors, sub);
-    Axpy(theta_[mask], part, &mty);
-    offset += static_cast<size_t>(rows);
-  }
-  HDMM_CHECK(offset == y.size());
-
-  // G(v) * mty = sum_a v_a C(a) mty, each term a Kronecker mat-vec with
-  // factors I or the all-ones matrix.
-  Vector xhat(static_cast<size_t>(n), 0.0);
-  for (uint32_t a = 0; a < masks; ++a) {
-    if (v[a] == 0.0) continue;
-    std::vector<Matrix> factors;
-    for (int i = 0; i < domain_.NumAttributes(); ++i) {
-      const int64_t ni = domain_.AttributeSize(i);
-      factors.push_back(((a >> i) & 1u) ? IdentityBlock(ni)
-                                        : Matrix::Ones(ni, ni));
-    }
-    Vector part = KronMatVec(factors, mty);
-    Axpy(v[a], part, &xhat);
-  }
+  Vector xhat(static_cast<size_t>(n));
+  MarginalsStreamReconstructor(*this, y).Fill(0, n, xhat.data());
   return xhat;
 }
 
 double MarginalsStrategy::SquaredError(const UnionWorkload& w) const {
-  Vector tau = algebra_.WorkloadTraceVector(w);
-  double tr = algebra_.TraceObjective(theta_, tau);
+  Vector lambda = algebra_.WorkloadTraceVector(w);
+  double tr = algebra_.TraceObjective(theta_, lambda);
   double sens = Sensitivity();
   return sens * sens * tr;
 }
@@ -411,6 +378,28 @@ Vector DownsumTable(const Domain& domain, uint32_t mask, uint32_t sub,
   return out;
 }
 
+// Subtracts from a table over the attributes in `mask` (row-major,
+// ascending attributes) its mean along every one of those attributes: the
+// projection onto the complement of the ones vector on each axis.
+void CenterTable(const Domain& domain, uint32_t mask, Vector* table) {
+  const int64_t cells = static_cast<int64_t>(table->size());
+  int64_t inner = cells;
+  for (int i = 0; i < domain.NumAttributes(); ++i) {
+    if (((mask >> i) & 1u) == 0) continue;
+    const int64_t n = domain.AttributeSize(i);
+    inner /= n;  // Cells per step along attribute i.
+    for (int64_t o = 0; o < cells; o += n * inner) {
+      for (int64_t r = 0; r < inner; ++r) {
+        double* base = table->data() + o + r;
+        double mean = 0.0;
+        for (int64_t k = 0; k < n; ++k) mean += base[k * inner];
+        mean /= static_cast<double>(n);
+        for (int64_t k = 0; k < n; ++k) base[k * inner] -= mean;
+      }
+    }
+  }
+}
+
 }  // namespace
 
 MarginalsStreamReconstructor::MarginalsStreamReconstructor(
@@ -418,17 +407,18 @@ MarginalsStreamReconstructor::MarginalsStreamReconstructor(
     : domain_(strategy.domain()) {
   const int d = domain_.NumAttributes();
   const MarginalsAlgebra algebra(domain_.sizes());
-  const uint32_t full = algebra.num_masks() - 1;
   const Vector& theta = strategy.theta();
-  Vector u(algebra.num_masks());
-  for (uint32_t a = 0; a < algebra.num_masks(); ++a) u[a] = theta[a] * theta[a];
-  const Vector v = algebra.InverseWeights(u);
+  const std::vector<uint32_t> active = strategy.ActiveMasks();
+  Vector u(algebra.num_masks(), 0.0);
+  for (uint32_t m : active) u[m] = theta[m] * theta[m];
+  const Vector mu = algebra.Eigenvalues(u);
 
-  // Combined tables E_s in ascending-submask order (deterministic layout —
-  // the backends' bit-identity rests on a fixed summation order).
+  // Per submask s, the sum over measured masks m containing s of theta_m
+  // times Y_m averaged down to s, in ascending-submask order (deterministic
+  // layout — the backends' bit-identity rests on a fixed summation order).
   std::map<uint32_t, Vector> combined;
   size_t offset = 0;
-  for (uint32_t m : strategy.ActiveMasks()) {
+  for (uint32_t m : active) {
     int64_t cells = 1;
     for (int i = 0; i < d; ++i) {
       if ((m >> i) & 1u) cells *= domain_.AttributeSize(i);
@@ -439,37 +429,30 @@ MarginalsStreamReconstructor::MarginalsStreamReconstructor(
                          static_cast<long>(cells));
     offset += static_cast<size_t>(cells);
 
-    // K_{m,s} = theta_m sum_{b subset ~m} v_{s|b} prod_{i in ~m \ b} n_i:
-    // every G(v) term with a & m == s lands on the same downsummed table.
-    const uint32_t fm = full & ~m;
     uint32_t s = m;
     while (true) {
-      double k = 0.0;
-      uint32_t b = fm;
-      while (true) {
-        double mult = 1.0;
-        for (int i = 0; i < d; ++i) {
-          if (((fm >> i) & 1u) && !((b >> i) & 1u)) {
-            mult *= static_cast<double>(domain_.AttributeSize(i));
-          }
-        }
-        k += v[s | b] * mult;
-        if (b == 0) break;
-        b = (b - 1) & fm;
+      double k = theta[m];
+      for (int i = 0; i < d; ++i) {
+        if (((m & ~s) >> i) & 1u) k /= static_cast<double>(domain_.AttributeSize(i));
       }
-      k *= theta[m];
-      if (k != 0.0) {
-        Vector t = DownsumTable(domain_, m, s, raw);
-        Vector& e = combined[s];
-        if (e.empty()) e.assign(t.size(), 0.0);
-        HDMM_CHECK(e.size() == t.size());
-        for (size_t i = 0; i < t.size(); ++i) e[i] += k * t[i];
-      }
+      Vector t = DownsumTable(domain_, m, s, raw);
+      Vector& e = combined[s];
+      if (e.empty()) e.assign(t.size(), 0.0);
+      HDMM_CHECK(e.size() == t.size());
+      for (size_t i = 0; i < t.size(); ++i) e[i] += k * t[i];
       if (s == 0) break;
       s = (s - 1) & m;
     }
   }
   HDMM_CHECK(offset == y.size());
+
+  // E_s = P_s-component scaled by 1 / mu_s. mu_s > 0: s lies under a
+  // measured mask m, which adds theta_m^2 c(m) to it.
+  for (auto& [s, values] : combined) {
+    CenterTable(domain_, s, &values);
+    const double inv_mu = 1.0 / mu[s];
+    for (double& value : values) value *= inv_mu;
+  }
 
   for (auto& [s, values] : combined) {
     Table table;

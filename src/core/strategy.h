@@ -197,8 +197,9 @@ class MarginalsStrategy : public Strategy {
   /// (exact).
   double L2Sensitivity() const override;
   Vector Apply(const Vector& x) const override;
-  /// M^+ y = (M^T M)^+ M^T y with (M^T M)^{-1} = G(v) from the closed
-  /// marginals algebra (Section 7.2 / Appendix A.4).
+  /// M^+ y = (M^T M)^+ M^T y in the marginals algebra's eigenbasis
+  /// (Section 7.2 / Appendix A.4): MarginalsStreamReconstructor filled over
+  /// the whole domain.
   Vector Reconstruct(const Vector& y) const override;
   double SquaredError(const UnionWorkload& w) const override;
 
@@ -227,17 +228,20 @@ class MarginalsStrategy : public Strategy {
 /// vector. Out-of-core sessions build their tiled summed-area table through
 /// this — the only full-domain state during construction is one tile buffer.
 ///
-/// Derivation: with v = InverseWeights(theta^2) and y split into raw
-/// per-mask measurement tables Y_m,
+/// Derivation: M^T M = G(theta^2) acts on eigenspace S of the marginals
+/// algebra as mu_S (MarginalsAlgebra::Eigenvalues), so with P_S the
+/// projector on S and y split into raw per-mask measurement tables Y_m,
 ///
-///   x_hat[c] = sum_a v_a (C(a) M^T y)[c]
-///            = sum_a v_a sum_m theta_m mult(a,m) T_{m->a&m}[c|_{a&m}]
+///   x_hat = sum_S (1 / mu_S) P_S M^T y,
+///   P_S M^T y = sum_{m superset of S} theta_m B_S[center_S(mean_{m\S} Y_m)]
 ///
-/// where C(a) = kron_i (I if bit_i(a) else ones), T_{m->s} sums Y_m down to
-/// the attributes in s, and mult(a,m) = prod_{i not in a|m} n_i counts the
-/// axes replicated by the all-ones factors. Grouping terms by s = a & m
-/// collapses everything into one combined table E_s per distinct submask,
-/// and x_hat[c] = sum_s E_s[c|_s].
+/// where mean_{m\S} averages Y_m over the attributes of m outside S,
+/// center_S subtracts the mean along every attribute of S, and B_S
+/// broadcasts a table over S to the full domain (P_S kills every table
+/// over a mask that does not contain S). So x_hat[c] = sum_S E_S[c|_S] with
+/// one table E_S per submask of a measured mask. Eigenspaces no measured
+/// mask reaches get no table, which makes x_hat the pseudo-inverse
+/// solution even for rank-deficient M(theta).
 class MarginalsStreamReconstructor {
  public:
   /// `y` is the strategy's raw (theta-weighted) measurement vector, exactly

@@ -1,7 +1,6 @@
 // Cholesky factorization, SPD solves and triangular solves. Workhorse for
 // the closed-form error computation tr[(A^T A)^{-1} (W^T W)] (Definition 7 /
-// Equation 3); the upper-triangular solves serve the marginals optimizer's
-// X(u) system (core/opt_marginals).
+// Equation 3).
 //
 // The factorization is right-looking and blocked: a small diagonal panel is
 // factored with the scalar algorithm, the panel below it is finished with a
@@ -27,12 +26,6 @@ void ForwardSubstitute(const Matrix& l, Vector* b);
 
 /// Solves L^T z = b in place (backward substitution against L^T).
 void BackwardSubstituteTranspose(const Matrix& l, Vector* b);
-
-/// Solves an upper-triangular system U x = b. Dies on zero diagonal.
-Vector UpperTriangularSolve(const Matrix& u, const Vector& b);
-
-/// Solves U^T x = b with U upper triangular (i.e., a lower-triangular solve).
-Vector UpperTriangularSolveTranspose(const Matrix& u, const Vector& b);
 
 /// Solves L Y = B in place over all columns of B at once (blocked forward
 /// substitution: GEMM panel updates plus a vectorized diagonal-block solve).

@@ -59,17 +59,6 @@ TEST(Cholesky, TraceSolveSpdMatchesExplicit) {
   EXPECT_NEAR(tr, explicit_prod.Trace(), 1e-8);
 }
 
-TEST(Cholesky, UpperTriangularSolvers) {
-  Matrix u = Matrix::FromRows({{2.0, 1.0, 3.0}, {0.0, 4.0, 5.0}, {0.0, 0.0, 6.0}});
-  Vector b = {1.0, 2.0, 3.0};
-  Vector x = UpperTriangularSolve(u, b);
-  Vector back = MatVec(u, x);
-  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(back[i], b[i], 1e-12);
-  Vector xt = UpperTriangularSolveTranspose(u, b);
-  Vector backt = MatVec(u.Transposed(), xt);
-  for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(backt[i], b[i], 1e-12);
-}
-
 TEST(EigenSym, Reconstructs) {
   Rng rng(7);
   Matrix x = RandomSpd(10, &rng);

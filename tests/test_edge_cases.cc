@@ -93,13 +93,11 @@ TEST(EdgeCases, Opt0OnTotalWorkload) {
 TEST(EdgeCases, MarginalsSingleAttribute) {
   MarginalsAlgebra alg({5});
   Vector u = {0.5, 2.0};
-  Vector v = alg.InverseWeights(u);
-  // G(u) = 0.5 * ones(5) + 2 I; check G(u) G(v) = I explicitly.
-  Matrix g = MatScale(Matrix::Ones(5, 5), 0.5);
-  g.AddInPlace(Matrix::Identity(5), 2.0);
-  Matrix gv = MatScale(Matrix::Ones(5, 5), v[0]);
-  gv.AddInPlace(Matrix::Identity(5), v[1]);
-  EXPECT_LT(MatMul(g, gv).MaxAbsDiff(Matrix::Identity(5)), 1e-10);
+  // G(u) = 0.5 * ones(5) + 2 I: eigenvalue 0.5 * 5 + 2 on the ones vector
+  // (S = 0) and 2 on its complement (S = 1).
+  const Vector mu = alg.Eigenvalues(u);
+  EXPECT_DOUBLE_EQ(mu[0], 4.5);
+  EXPECT_DOUBLE_EQ(mu[1], 2.0);
 }
 
 TEST(EdgeCases, MarginalsStrategyZeroWeightsDie) {

@@ -295,7 +295,44 @@ TEST(Proposition3, CWeightClosedForm) {
   EXPECT_DOUBLE_EQ(algebra.CWeight(0b110), 2.0);   // zero bit: size 2.
 }
 
-// --- Proposition 4: G(u) G(v) = G(X(u) v). ---------------------------------
+// --- Proposition 4: G(u) G(v) stays in the algebra. -----------------------
+// Every G(u) is diagonal in the common eigenbasis with eigenvalues
+// mu(u) = MarginalsAlgebra::Eigenvalues(u), so G(u) G(v) = G(w) and
+// G(u)^{-1} = G(v) for the weights whose eigenvalues are mu(u) mu(v) and
+// 1 / mu(u). Weights follow from eigenvalues by Moebius inversion of the
+// superset sum: w_a c(a) = sum_{S superset a} (-1)^{|S \ a|} mu_S.
+
+Vector WeightsWithEigenvalues(const MarginalsAlgebra& algebra,
+                              const Vector& mu) {
+  const uint32_t masks = algebra.num_masks();
+  Vector w(masks, 0.0);
+  for (uint32_t a = 0; a < masks; ++a) {
+    for (uint32_t s = 0; s < masks; ++s) {
+      if ((s & a) != a) continue;
+      const int sign = (PopCount(s & ~a) % 2 == 0) ? 1 : -1;
+      w[a] += sign * mu[s];
+    }
+    w[a] /= algebra.CWeight(a);
+  }
+  return w;
+}
+
+Matrix ExplicitG(const std::vector<int64_t>& sizes, const Vector& v) {
+  int64_t n_total = 1;
+  for (int64_t n : sizes) n_total *= n;
+  Matrix acc = Matrix::Zeros(n_total, n_total);
+  for (uint32_t mask = 0; mask < v.size(); ++mask) {
+    std::vector<Matrix> factors;
+    for (size_t i = 0; i < sizes.size(); ++i) {
+      factors.push_back(((mask >> i) & 1) ? IdentityBlock(sizes[i])
+                                          : Matrix::Ones(sizes[i], sizes[i]));
+    }
+    Matrix c = KronExplicit(factors);
+    c.ScaleInPlace(v[mask]);
+    acc.AddInPlace(c, 1.0);
+  }
+  return acc;
+}
 
 class Proposition4Test : public ::testing::TestWithParam<int> {};
 
@@ -304,60 +341,34 @@ TEST_P(Proposition4Test, GAlgebraClosedUnderProducts) {
   const std::vector<int64_t> sizes = {2, 3, 2};
   MarginalsAlgebra algebra(sizes);
 
-  auto explicit_g = [&](const Vector& v) {
-    Matrix acc = Matrix::Zeros(12, 12);
-    for (uint32_t mask = 0; mask < 8; ++mask) {
-      std::vector<Matrix> factors;
-      for (int i = 0; i < 3; ++i) {
-        const int64_t n = sizes[static_cast<size_t>(i)];
-        factors.push_back(((mask >> i) & 1) ? IdentityBlock(n)
-                                            : Matrix::Ones(n, n));
-      }
-      Matrix c = KronExplicit(factors);
-      c.ScaleInPlace(v[mask]);
-      acc.AddInPlace(c, 1.0);
-    }
-    return acc;
-  };
-
   Vector u(8), v(8);
   for (double& x : u) x = rng.Uniform(0.0, 2.0);
   for (double& x : v) x = rng.Uniform(0.0, 2.0);
+  const Vector mu = algebra.Eigenvalues(u), nu = algebra.Eigenvalues(v);
+  Vector product(8);
+  for (size_t s = 0; s < 8; ++s) product[s] = mu[s] * nu[s];
 
-  const Matrix lhs = MatMul(explicit_g(u), explicit_g(v));
-  const Matrix rhs = explicit_g(MatVec(algebra.BuildX(u), v));
+  const Matrix lhs = MatMul(ExplicitG(sizes, u), ExplicitG(sizes, v));
+  const Matrix rhs = ExplicitG(sizes, WeightsWithEigenvalues(algebra, product));
   EXPECT_LT(lhs.MaxAbsDiff(rhs), 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Proposition4Test, ::testing::Range(0, 8));
 
-TEST(Proposition4, InverseWeightsInvertG) {
-  // G(v) = G(u)^{-1} when X(u) v = e_full — the O(4^d) pseudo-inverse trick
-  // behind OPT_M's RECONSTRUCT (Section 7.2).
+TEST(Proposition4, ReciprocalEigenvaluesInvertG) {
+  // G(v) = G(u)^{-1} when v has eigenvalues 1 / mu(u) — the inverse behind
+  // OPT_M's RECONSTRUCT (Section 7.2).
   const std::vector<int64_t> sizes = {2, 3};
   MarginalsAlgebra algebra(sizes);
   Rng rng(9);
   Vector u(4);
   for (double& x : u) x = rng.Uniform(0.2, 1.5);  // u_full > 0.
+  Vector inverse = algebra.Eigenvalues(u);
+  for (double& x : inverse) x = 1.0 / x;
 
-  auto explicit_g = [&](const Vector& v) {
-    Matrix acc = Matrix::Zeros(6, 6);
-    for (uint32_t mask = 0; mask < 4; ++mask) {
-      std::vector<Matrix> factors;
-      for (int i = 0; i < 2; ++i) {
-        const int64_t n = sizes[static_cast<size_t>(i)];
-        factors.push_back(((mask >> i) & 1) ? IdentityBlock(n)
-                                            : Matrix::Ones(n, n));
-      }
-      Matrix c = KronExplicit(factors);
-      c.ScaleInPlace(v[mask]);
-      acc.AddInPlace(c, 1.0);
-    }
-    return acc;
-  };
-
-  const Vector v = algebra.InverseWeights(u);
-  const Matrix product = MatMul(explicit_g(u), explicit_g(v));
+  const Matrix product = MatMul(
+      ExplicitG(sizes, u),
+      ExplicitG(sizes, WeightsWithEigenvalues(algebra, inverse)));
   EXPECT_LT(product.MaxAbsDiff(Matrix::Identity(6)), 1e-9);
 }
 

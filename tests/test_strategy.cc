@@ -1,12 +1,15 @@
 #include "core/strategy.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/error.h"
+#include "data/census.h"
 #include "linalg/pinv.h"
 #include "workload/building_blocks.h"
 #include "workload/marginals.h"
@@ -175,6 +178,47 @@ TEST(MarginalsStrategy, ReconstructMatchesPinv) {
   Vector xhat = strat.Reconstruct(y);
   Vector ref = MatVec(PseudoInverse(m), y);
   for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(xhat[i], ref[i], 1e-7);
+}
+
+TEST(MarginalsStrategy, ReconstructMatchesPinvWithoutFullTable) {
+  // No weight on the full table: M is rank-deficient, and Reconstruct is
+  // still the pseudo-inverse solution.
+  Domain d({2, 3});
+  Vector theta = {0.5, 1.0, 0.7, 0.0};
+  MarginalsStrategy strat(d, theta);
+  std::vector<Matrix> blocks;
+  for (uint32_t mask = 0; mask < 3; ++mask) {
+    blocks.push_back(MarginalProduct(d, mask, theta[mask]).Explicit());
+  }
+  Matrix m = VStack(blocks);
+  Rng rng(8);
+  Vector y(static_cast<size_t>(m.rows()));
+  for (auto& v : y) v = rng.Uniform(-1.0, 1.0);
+  Vector xhat = strat.Reconstruct(y);
+  Vector ref = MatVec(PseudoInverse(m), y);
+  ASSERT_EQ(xhat.size(), ref.size());
+  for (size_t i = 0; i < ref.size(); ++i) EXPECT_NEAR(xhat[i], ref[i], 1e-9);
+}
+
+TEST(MarginalsStrategy, ReconstructIsExactForSpreadWeights) {
+  // Weights spanning seven orders of magnitude on the Adult domain
+  // (N = 240,000), the regime OPT_M's plans live in: noise-free
+  // measurements must reconstruct the data exactly.
+  const Domain domain = AdultDomain();
+  Rng rng(31);
+  Vector theta(32);
+  for (double& t : theta) t = std::pow(10.0, rng.Uniform(-3.0, 1.0));
+  theta[31] = 1e-4;
+  const MarginalsStrategy strategy(domain, theta);
+  Vector x(static_cast<size_t>(domain.TotalSize()));
+  for (double& v : x) v = std::floor(rng.Uniform(0.0, 10.0));
+  const Vector xhat = strategy.Reconstruct(strategy.Apply(x));
+  ASSERT_EQ(xhat.size(), x.size());
+  double worst = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    worst = std::max(worst, std::fabs(xhat[i] - x[i]));
+  }
+  EXPECT_LT(worst, 1e-9);
 }
 
 TEST(Strategy, MeasureAddsCalibratedNoise) {
