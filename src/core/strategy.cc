@@ -446,15 +446,12 @@ MarginalsStreamReconstructor::MarginalsStreamReconstructor(
   }
   HDMM_CHECK(offset == y.size());
 
-  // E_s = P_s-component scaled by 1 / mu_s. mu_s > 0: s lies under a
-  // measured mask m, which adds theta_m^2 c(m) to it.
   for (auto& [s, values] : combined) {
+    // E_s: the projection on eigenspace s, scaled by 1 / mu_s. mu_s > 0
+    // because s lies under a measured mask m, which adds theta_m^2 c(m).
     CenterTable(domain_, s, &values);
     const double inv_mu = 1.0 / mu[s];
     for (double& value : values) value *= inv_mu;
-  }
-
-  for (auto& [s, values] : combined) {
     Table table;
     table.values = std::move(values);
     table.stride.assign(static_cast<size_t>(d), 0);
